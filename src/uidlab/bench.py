@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from . import codec
-from .core import ClockSource, IdScheme, RandomSource, generate_ulid, generate_uuidv4, generate_uuidv7
+from .core import ClockSource, IdScheme, RandomSource, id_generator
 
 __all__ = [
     "CSV_HEADER",
@@ -161,14 +161,6 @@ def bandwidth_mbps(payload_bits: int, elapsed_seconds: float) -> float:
     return payload_bits / elapsed_seconds / 1e6
 
 
-def _generate_and_encode(scheme: IdScheme, clock, rng):
-    if scheme is IdScheme.ULID:
-        return lambda: codec.ulid_encode(generate_ulid(clock, rng))
-    if scheme is IdScheme.UUID_V7:
-        return lambda: codec.uuid_format(generate_uuidv7(clock, rng))
-    return lambda: codec.uuid_format(generate_uuidv4(rng))
-
-
 def run_generation_bench(
     cfg: BenchConfig,
     clock: ClockSource | None = None,
@@ -184,14 +176,15 @@ def run_generation_bench(
     """
     timer = timer_ns or time.perf_counter_ns
     wait = sleep if sleep is not None else time.sleep
-    emit = _generate_and_encode(cfg.scheme, clock, rng)
+    next_value = id_generator(cfg.scheme, clock, rng)
+    encode = codec.encoder_for(cfg.scheme)
     payload_bits = cfg.ids_per_sample * serialized_size(cfg.scheme, cfg.bytes_per_char) * 8
 
     samples = []
     for index in range(cfg.total_samples):
         start = timer()
         for _ in range(cfg.ids_per_sample):
-            emit()
+            encode(next_value())
         elapsed_ns = timer() - start
         if elapsed_ns <= 0:
             raise TimerResolutionTooCoarse(

@@ -15,12 +15,8 @@ from .core import (
     MonotonicState,
     RandomOverflow,
     SeededEntropy,
-    SystemClock,
     SystemEntropy,
-    generate_ulid,
-    generate_uuidv4,
-    generate_uuidv7,
-    next_monotonic_ulid,
+    id_generator,
 )
 
 __all__ = ["main"]
@@ -57,28 +53,13 @@ def _make_rng(seed):
     return SeededEntropy(seed) if seed is not None else SystemEntropy()
 
 
-def _encoder_for(scheme: IdScheme):
-    return codec.ulid_encode if scheme is IdScheme.ULID else codec.uuid_format
-
-
 def _cmd_gen(args) -> int:
-    rng = _make_rng(args.seed)
-    clock = SystemClock()
-    encode = _encoder_for(args.scheme)
-    state = MonotonicState()
+    state = MonotonicState() if args.monotonic else None
+    next_value = id_generator(args.scheme, rng=_make_rng(args.seed), state=state)
+    encode = codec.encoder_for(args.scheme)
     try:
         for _ in range(args.count):
-            if args.scheme is IdScheme.ULID:
-                value = (
-                    next_monotonic_ulid(state, clock, rng)
-                    if args.monotonic
-                    else generate_ulid(clock, rng)
-                )
-            elif args.scheme is IdScheme.UUID_V7:
-                value = generate_uuidv7(clock, rng)
-            else:
-                value = generate_uuidv4(rng)
-            print(encode(value))
+            print(encode(next_value()))
     except RandomOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -100,15 +81,7 @@ def _cmd_decode(args) -> int:
     status = 0
     for text in args.values:
         try:
-            if len(text) == codec.ULID_TEXT_LENGTH:
-                value = codec.ulid_decode(text)
-            elif len(text) == codec.UUID_TEXT_LENGTH:
-                value = codec.uuid_parse(text)
-            else:
-                raise codec.InvalidLength(
-                    f"{text!r} is neither 26 (ULID) nor 36 (UUID) characters"
-                )
-            print(f"{value:032x}")
+            print(f"{codec.decode(text):032x}")
         except codec.CodecError as exc:
             print(f"error: {exc}", file=sys.stderr)
             status = 1

@@ -12,7 +12,7 @@ characters including the four hyphens.
 
 from __future__ import annotations
 
-from .core import UID128_MAX, Uid128
+from .core import UID128_MAX, IdScheme, Uid128
 
 __all__ = [
     "CROCKFORD_ALPHABET",
@@ -27,6 +27,8 @@ __all__ = [
     "ulid_decode",
     "uuid_format",
     "uuid_parse",
+    "encoder_for",
+    "decode",
 ]
 
 CROCKFORD_ALPHABET = "0123456789ABCDEFGHJKMNPQRSTVWXYZ"
@@ -110,3 +112,17 @@ def uuid_parse(text: str) -> Uid128:
         if ch not in _HEX_DIGITS:
             raise InvalidCharacter(f"character {ch!r} is not a hexadecimal digit")
     return int(digits, 16)
+
+
+def encoder_for(scheme: IdScheme):
+    """The function rendering ``scheme`` values as canonical text."""
+    return ulid_encode if scheme.text_length == ULID_TEXT_LENGTH else uuid_format
+
+
+def decode(text: str) -> Uid128:
+    """Parse either canonical form, told apart by length: 26 is ULID, 36 is UUID."""
+    if len(text) == ULID_TEXT_LENGTH:
+        return ulid_decode(text)
+    if len(text) == UUID_TEXT_LENGTH:
+        return uuid_parse(text)
+    raise InvalidLength(f"{text!r} is neither 26 (ULID) nor 36 (UUID) characters")

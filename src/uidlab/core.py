@@ -27,7 +27,7 @@ import secrets
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import Protocol
+from typing import Callable, NamedTuple, Protocol
 
 __all__ = [
     "UID128_MAX",
@@ -50,6 +50,7 @@ __all__ = [
     "generate_uuidv7",
     "generate_ulid",
     "next_monotonic_ulid",
+    "id_generator",
     "extract_timestamp",
     "version_of",
     "variant_bits_of",
@@ -91,39 +92,52 @@ class IdScheme(enum.Enum):
     @property
     def effective_random_bits(self) -> int:
         """Random bits that must avoid collision within one window."""
-        return _RANDOM_BITS[self]
+        return _SPECS[self].random_bits
 
     @property
     def text_length(self) -> int:
         """Length of the canonical string form (36 hex+hyphens or 26 base32)."""
-        return 26 if self is IdScheme.ULID else 36
+        return _SPECS[self].text_length
+
+    @property
+    def ordered_chars(self) -> int:
+        """Leading characters of the text form that order one producer's ids.
+
+        All 26 for ULID from the monotonic generator; the 13 characters of the
+        48-bit timestamp for UUIDv7, whose later bits are random within one
+        millisecond; none for UUIDv4.
+        """
+        return _SPECS[self].ordered_chars
 
     @property
     def time_ordered(self) -> bool:
-        return self is not IdScheme.UUID_V4
+        return _SPECS[self].ordered_chars > 0
 
     @property
     def cli_name(self) -> str:
-        return _CLI_NAMES[self]
+        return _SPECS[self].names[0]
 
     @classmethod
     def parse(cls, name: str) -> "IdScheme":
         """Parse a scheme name, case-insensitively ('ulid', 'uuidv4', 'uuid_v7', ...)."""
         key = name.strip().lower().replace("-", "").replace("_", "")
-        try:
-            return _PARSE_TABLE[key]
-        except KeyError:
-            raise ValueError(f"unknown identifier scheme: {name!r}") from None
+        for scheme, spec in _SPECS.items():
+            if key in spec.names:
+                return scheme
+        raise ValueError(f"unknown identifier scheme: {name!r}")
 
 
-_RANDOM_BITS = {IdScheme.UUID_V4: 122, IdScheme.UUID_V7: 74, IdScheme.ULID: 80}
-_CLI_NAMES = {IdScheme.UUID_V4: "uuidv4", IdScheme.UUID_V7: "uuidv7", IdScheme.ULID: "ulid"}
-_PARSE_TABLE = {
-    "ulid": IdScheme.ULID,
-    "uuidv4": IdScheme.UUID_V4,
-    "uuid4": IdScheme.UUID_V4,
-    "uuidv7": IdScheme.UUID_V7,
-    "uuid7": IdScheme.UUID_V7,
+class _SchemeSpec(NamedTuple):
+    names: tuple[str, ...]  # the first is the CLI name
+    random_bits: int
+    text_length: int
+    ordered_chars: int
+
+
+_SPECS = {
+    IdScheme.UUID_V4: _SchemeSpec(("uuidv4", "uuid4"), 122, 36, 0),
+    IdScheme.UUID_V7: _SchemeSpec(("uuidv7", "uuid7"), 74, 36, 13),
+    IdScheme.ULID: _SchemeSpec(("ulid",), 80, 26, 26),
 }
 
 
@@ -270,6 +284,27 @@ def next_monotonic_ulid(
         raise RandomOverflow(f"random component exhausted at timestamp {state.last_ts}")
     state.last_random += 1
     return (state.last_ts << 80) | state.last_random
+
+
+def id_generator(
+    scheme: IdScheme,
+    clock: ClockSource | None = None,
+    rng: RandomSource | None = None,
+    state: MonotonicState | None = None,
+) -> Callable[[], Uid128]:
+    """A callable returning the next ``scheme`` value on each call.
+
+    With a ``state``, ULID values come from :func:`next_monotonic_ulid`; the
+    other schemes have no monotonic form and ignore it. The generator
+    functions are looked up when the callable runs, not when it is made.
+    """
+    if scheme is IdScheme.UUID_V4:
+        return lambda: generate_uuidv4(rng)
+    if scheme is IdScheme.UUID_V7:
+        return lambda: generate_uuidv7(clock, rng)
+    if state is not None:
+        return lambda: next_monotonic_ulid(state, clock, rng)
+    return lambda: generate_ulid(clock, rng)
 
 
 def extract_timestamp(value: Uid128, scheme: IdScheme) -> Timestamp48:

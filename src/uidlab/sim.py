@@ -30,9 +30,7 @@ from .core import (
     SeededEntropy,
     SystemClock,
     UnsupportedScheme,
-    generate_uuidv4,
-    generate_uuidv7,
-    next_monotonic_ulid,
+    id_generator,
 )
 from .bench import bandwidth_mbps, serialized_size
 
@@ -47,8 +45,6 @@ __all__ = [
     "TopicClosed",
     "UnknownPartition",
     "partition_for",
-    "publish",
-    "consume",
     "run_simulation",
     "verify_ordering",
     "SIM_CSV_HEADER",
@@ -58,6 +54,7 @@ __all__ = [
 _VIRTUAL_EPOCH_MS = 1_700_000_000_000
 
 _CONSUME_BATCH = 256
+_GROUP = "sim"
 
 SIM_CSV_HEADER = (
     "scheme,producers,partitions,events_total,consumed_total,stored_total,"
@@ -129,10 +126,6 @@ class Topic:
     def close(self) -> None:
         self._closed = True
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def end_offset(self, partition: int) -> int:
         return len(self._logs[partition])
 
@@ -176,14 +169,6 @@ class Sink:
         if self._file is not None:
             self._file.close()
             self._file = None
-
-
-def publish(topic: Topic, event: Event) -> tuple[int, int]:
-    return topic.publish(event)
-
-
-def consume(topic: Topic, group: str, partition: int, max_events: int) -> list[Event]:
-    return topic.consume(group, partition, max_events)
 
 
 @dataclass
@@ -289,11 +274,13 @@ def verify_ordering(partition_logs, scheme: IdScheme) -> OrderingReport:
 
     Within one partition, events of one producer must appear with identifier
     string order matching sequence order (the codecs preserve numeric order,
-    so string comparison is the time comparison). UUIDv4 has no ordering
-    claim to check and is rejected.
+    so string comparison is the time comparison). Only the scheme's ordered
+    prefix is compared: UUIDv7 ids of one millisecond may come in any order.
+    UUIDv4 has no ordering claim to check and is rejected.
     """
     if not scheme.time_ordered:
         raise UnsupportedScheme("ordering verification needs a time-ordered scheme")
+    n = scheme.ordered_chars
     violations = []
     pairs = 0
     for p, log in enumerate(partition_logs):
@@ -302,7 +289,7 @@ def verify_ordering(partition_logs, scheme: IdScheme) -> OrderingReport:
             prev = last_seen.get(event.producer)
             if prev is not None:
                 pairs += 1
-                if event.id < prev:
+                if event.id[:n] < prev[:n]:
                     violations.append(
                         OrderingViolation(p, event.producer, pos, prev, event.id)
                     )
@@ -322,32 +309,22 @@ class _Producer:
         self.clock = clock
         self.rng = SeededEntropy(cfg.seed + index)
         self.state = MonotonicState()
-        self.scheme = cfg.scheme
+        self.next_value = id_generator(cfg.scheme, clock, self.rng, self.state)
+        self.encode = codec.encoder_for(cfg.scheme)
+        self.timestamped = cfg.scheme.time_ordered
         self.payload_bytes = serialized_size(cfg.scheme, cfg.bytes_per_char)
         self.overflow_waits = 0
-
-    def _next_value(self) -> int:
-        if self.scheme is IdScheme.ULID:
-            return next_monotonic_ulid(self.state, self.clock, self.rng)
-        if self.scheme is IdScheme.UUID_V7:
-            return generate_uuidv7(self.clock, self.rng)
-        return generate_uuidv4(self.rng)
 
     def make_event(self, seq: int) -> Event:
         while True:
             try:
-                value = self._next_value()
+                value = self.next_value()
                 break
             except RandomOverflow:
                 self.overflow_waits += 1
                 self._wait_next_millisecond()
-        if self.scheme is IdScheme.ULID:
-            text = codec.ulid_encode(value)
-            produced_at = value >> 80
-        else:
-            text = codec.uuid_format(value)
-            produced_at = value >> 80 if self.scheme is IdScheme.UUID_V7 else self.clock.now()
-        return Event(text, self.index, seq, produced_at, self.payload_bytes)
+        produced_at = value >> 80 if self.timestamped else self.clock.now()
+        return Event(self.encode(value), self.index, seq, produced_at, self.payload_bytes)
 
     def _wait_next_millisecond(self) -> None:
         if isinstance(self.clock, FixedClock):
@@ -358,9 +335,116 @@ class _Producer:
 
 
 def run_simulation(cfg: SimConfig) -> SimReport:
-    """Run the pipeline to completion and return exact totals."""
-    runner = _run_deterministic if cfg.deterministic else _run_threaded
-    return runner(cfg)
+    """Run the pipeline to completion and return exact totals.
+
+    Both modes share the topic, sink, producers and consumer steps; only the
+    scheduler and the clock differ. Re-raises the first exception of any
+    producer or consumer, and closes the sink either way.
+    """
+    topic = Topic("events", cfg.partitions)
+    sink = Sink(cfg.persist_path)
+    try:
+        clock = FixedClock(_VIRTUAL_EPOCH_MS) if cfg.deterministic else SystemClock()
+        producers = [_Producer(i, cfg, clock) for i in range(cfg.producers)]
+        # Consumer i owns the partitions congruent to i modulo the consumer count.
+        assignments = [range(i, cfg.partitions, cfg.consumers) for i in range(cfg.consumers)]
+
+        def drain(partitions) -> int:
+            """Store one batch from each partition; return the events moved."""
+            moved = 0
+            for p in partitions:
+                batch = topic.consume(_GROUP, p, _CONSUME_BATCH)
+                if batch:
+                    sink.store(batch)
+                    moved += len(batch)
+            return moved
+
+        def lagging(partitions) -> bool:
+            return any(topic.committed(_GROUP, p) < topic.end_offset(p) for p in partitions)
+
+        schedule = _schedule_rounds if cfg.deterministic else _schedule_threads
+        consumed, elapsed = schedule(cfg, topic, producers, assignments, drain, lagging, clock)
+        return _build_report(
+            cfg, topic, sink, consumed, sum(p.overflow_waits for p in producers), elapsed
+        )
+    finally:
+        sink.close()
+
+
+def _schedule_threads(cfg, topic, producers, assignments, drain, lagging, clock):
+    """One thread per producer and consumer against real time.
+
+    Returns (events consumed, wall seconds).
+    """
+    done = threading.Event()
+    consumed = [0] * len(assignments)
+    errors: list[Exception] = []
+
+    def produce(producer: _Producer):
+        for seq in range(cfg.events_per_producer):
+            topic.publish(producer.make_event(seq))
+            if cfg.produce_interval > 0:
+                time.sleep(cfg.produce_interval)
+
+    def consume(idx: int, partitions):
+        while True:
+            moved = drain(partitions)
+            consumed[idx] += moved
+            if not moved:
+                if done.is_set() and not lagging(partitions):
+                    break
+                time.sleep(0.0002)
+
+    def worker(step, *args):
+        try:
+            step(*args)
+        except Exception as exc:
+            errors.append(exc)
+
+    producer_threads = [
+        threading.Thread(target=worker, args=(produce, p), name=f"producer-{p.index}")
+        for p in producers
+    ]
+    consumer_threads = [
+        threading.Thread(target=worker, args=(consume, i, parts), name=f"consumer-{i}")
+        for i, parts in enumerate(assignments)
+    ]
+    start = time.perf_counter()
+    for t in consumer_threads + producer_threads:
+        t.start()
+    for t in producer_threads:
+        t.join()
+    topic.close()
+    done.set()
+    for t in consumer_threads:
+        t.join()
+    elapsed = time.perf_counter() - start
+    if errors:
+        raise errors[0]
+    return sum(consumed), elapsed
+
+
+def _schedule_rounds(cfg, topic, producers, assignments, drain, lagging, clock):
+    """Round-robin on one thread against the virtual clock.
+
+    Each round every producer publishes one event, every consumer drains,
+    and the clock ticks one millisecond. Returns (events consumed, virtual
+    seconds at one millisecond per round).
+    """
+    consumed = 0
+    for seq in range(cfg.events_per_producer):
+        for producer in producers:
+            topic.publish(producer.make_event(seq))
+        for partitions in assignments:
+            consumed += drain(partitions)
+        clock.advance(1)
+    topic.close()
+    rounds = cfg.events_per_producer
+    while lagging(range(cfg.partitions)):
+        for partitions in assignments:
+            consumed += drain(partitions)
+        rounds += 1
+    return consumed, rounds / 1000.0
 
 
 def _build_report(cfg, topic, sink, consumed_total, overflow_waits, elapsed) -> SimReport:
@@ -385,114 +469,4 @@ def _build_report(cfg, topic, sink, consumed_total, overflow_waits, elapsed) -> 
         overflow_waits=overflow_waits,
         elapsed_seconds=elapsed,
         effective_mbps=bandwidth_mbps(sink.payload_bits, elapsed),
-    )
-
-
-def _run_threaded(cfg: SimConfig) -> SimReport:
-    topic = Topic("events", cfg.partitions)
-    sink = Sink(cfg.persist_path)
-    group = "sim"
-    done = threading.Event()
-    consumed_counts = [0] * cfg.consumers
-
-    def produce(producer: _Producer):
-        for seq in range(cfg.events_per_producer):
-            topic.publish(producer.make_event(seq))
-            if cfg.produce_interval > 0:
-                time.sleep(cfg.produce_interval)
-
-    def consume_loop(idx: int, my_partitions: list[int]):
-        total = 0
-        while True:
-            progressed = False
-            for p in my_partitions:
-                batch = topic.consume(group, p, _CONSUME_BATCH)
-                if batch:
-                    sink.store(batch)
-                    total += len(batch)
-                    progressed = True
-            if not progressed:
-                if done.is_set() and all(
-                    topic.committed(group, p) >= topic.end_offset(p) for p in my_partitions
-                ):
-                    break
-                time.sleep(0.0002)
-        consumed_counts[idx] = total
-
-    producers = [_Producer(i, cfg, SystemClock()) for i in range(cfg.producers)]
-    producer_threads = [
-        threading.Thread(target=produce, args=(p,), name=f"producer-{p.index}")
-        for p in producers
-    ]
-    consumer_threads = [
-        threading.Thread(
-            target=consume_loop,
-            args=(i, [p for p in range(cfg.partitions) if p % cfg.consumers == i]),
-            name=f"consumer-{i}",
-        )
-        for i in range(cfg.consumers)
-    ]
-
-    start = time.perf_counter()
-    for t in consumer_threads + producer_threads:
-        t.start()
-    for t in producer_threads:
-        t.join()
-    topic.close()
-    done.set()
-    for t in consumer_threads:
-        t.join()
-    elapsed = time.perf_counter() - start
-    sink.close()
-
-    return _build_report(
-        cfg, topic, sink, sum(consumed_counts), sum(p.overflow_waits for p in producers), elapsed
-    )
-
-
-def _run_deterministic(cfg: SimConfig) -> SimReport:
-    """Round-robin single-threaded run on a virtual millisecond clock."""
-    topic = Topic("events", cfg.partitions)
-    sink = Sink(cfg.persist_path)
-    group = "sim"
-    clock = FixedClock(_VIRTUAL_EPOCH_MS)
-    producers = [_Producer(i, cfg, clock) for i in range(cfg.producers)]
-    assignments = [
-        [p for p in range(cfg.partitions) if p % cfg.consumers == i]
-        for i in range(cfg.consumers)
-    ]
-
-    consumed_total = 0
-    sequences = [0] * cfg.producers
-    rounds = 0
-    remaining = cfg.producers * cfg.events_per_producer
-    while remaining:
-        for producer in producers:
-            seq = sequences[producer.index]
-            if seq < cfg.events_per_producer:
-                topic.publish(producer.make_event(seq))
-                sequences[producer.index] = seq + 1
-                remaining -= 1
-        for my_partitions in assignments:
-            for p in my_partitions:
-                batch = topic.consume(group, p, _CONSUME_BATCH)
-                sink.store(batch)
-                consumed_total += len(batch)
-        clock.advance(1)
-        rounds += 1
-    topic.close()
-    while any(
-        topic.committed(group, p) < topic.end_offset(p) for p in range(cfg.partitions)
-    ):
-        for my_partitions in assignments:
-            for p in my_partitions:
-                batch = topic.consume(group, p, _CONSUME_BATCH)
-                sink.store(batch)
-                consumed_total += len(batch)
-        rounds += 1
-    sink.close()
-
-    elapsed = rounds / 1000.0  # one virtual millisecond per round
-    return _build_report(
-        cfg, topic, sink, consumed_total, sum(p.overflow_waits for p in producers), elapsed
     )

@@ -256,6 +256,13 @@ def test_scheme_text_lengths():
     assert IdScheme.UUID_V7.text_length == 36
 
 
+def test_scheme_ordered_prefixes():
+    assert IdScheme.ULID.ordered_chars == 26
+    assert IdScheme.UUID_V7.ordered_chars == 13  # 48 timestamp bits: 12 hex digits and a hyphen
+    assert IdScheme.UUID_V4.ordered_chars == 0
+    assert [s.time_ordered for s in (IdScheme.ULID, IdScheme.UUID_V7, IdScheme.UUID_V4)] == [True, True, False]
+
+
 def test_scheme_parse_names():
     assert IdScheme.parse("ulid") is IdScheme.ULID
     assert IdScheme.parse("ULID") is IdScheme.ULID

@@ -1,8 +1,10 @@
 import collections
+import hashlib
 
 import pytest
 
-from uidlab.codec import ulid_encode
+from uidlab import sim
+from uidlab.codec import ulid_encode, uuid_format
 from uidlab.core import (
     FixedClock,
     IdScheme,
@@ -10,12 +12,14 @@ from uidlab.core import (
     RANDOM80_MAX,
     SeededEntropy,
     UnsupportedScheme,
+    generate_uuidv7,
     next_monotonic_ulid,
 )
 from uidlab.sim import (
     Event,
     SIM_CSV_HEADER,
     SimConfig,
+    SimReport,
     Sink,
     Topic,
     TopicClosed,
@@ -170,6 +174,22 @@ def test_verify_ordering_reports_position():
     assert (violation.partition, violation.producer, violation.position) == (0, 0, 1)
 
 
+def _uuidv7_text(millis, seed):
+    return uuid_format(generate_uuidv7(FixedClock(millis), SeededEntropy(seed)))
+
+
+def test_verify_ordering_uuidv7_compares_milliseconds_only():
+    # Plain UUIDv7 puts random bits right after the millisecond timestamp, so
+    # two ids of one millisecond may come in either order.
+    same_ms = sorted((_uuidv7_text(5_000, 1), _uuidv7_text(5_000, 2)), reverse=True)
+    swapped = [make_event(text, seq=i) for i, text in enumerate(same_ms)]
+    assert verify_ordering([swapped], IdScheme.UUID_V7).ok
+
+    later_first = [make_event(_uuidv7_text(5_001, 1), seq=0), make_event(_uuidv7_text(5_000, 2), seq=1)]
+    report = verify_ordering([later_first], IdScheme.UUID_V7)
+    assert len(report.violations) == 1
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(scheme=IdScheme.ULID, producers=0)
@@ -244,6 +264,59 @@ def test_threaded_run_integrity():
     assert report.effective_mbps > 0
 
 
+def test_threaded_uuidv7_run_has_no_ordering_violations():
+    cfg = SimConfig(
+        scheme=IdScheme.UUID_V7,
+        producers=4,
+        events_per_producer=5000,
+        partitions=4,
+        consumers=4,
+        seed=1,
+    )
+    report = run_simulation(cfg)
+    assert report.ordering_checked
+    assert report.ordering_violations == 0
+    assert report.conserved
+
+
+def _fail_at(monkeypatch, producer, seq):
+    make_event = _Producer.make_event
+
+    def failing(self, s):
+        if self.index == producer and s == seq:
+            raise RuntimeError("injected producer failure")
+        return make_event(self, s)
+
+    monkeypatch.setattr(_Producer, "make_event", failing)
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["threaded", "deterministic"])
+def test_worker_crash_raises_and_closes_sink(monkeypatch, tmp_path, deterministic):
+    _fail_at(monkeypatch, producer=1, seq=10)
+    sinks = []
+
+    class RecordingSink(Sink):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sinks.append(self)
+
+    monkeypatch.setattr(sim, "Sink", RecordingSink)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=2,
+        events_per_producer=100,
+        partitions=2,
+        consumers=1,
+        seed=4,
+        deterministic=deterministic,
+        persist_path=str(tmp_path / "stored.txt"),
+    )
+    with pytest.raises(RuntimeError, match="injected producer failure"):
+        run_simulation(cfg)
+    (sink,) = sinks
+    assert sink._file is None
+
+
 def test_uuidv4_run_skips_ordering():
     cfg = SimConfig(
         scheme=IdScheme.UUID_V4,
@@ -302,3 +375,56 @@ def test_sim_persistence_file(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == report.stored_total == 100
     assert all(len(line) == 26 for line in lines)
+
+
+# Reports and stored-id digests of 600 producers x 2 events over 2 partitions
+# and 1 consumer, seed 17. Each round publishes about 300 events per
+# partition against a 256-event consume batch, so the final drain takes a
+# round of its own. A change to any pinned value breaks replay
+# compatibility with earlier versions.
+GOLDEN_RUNS = {
+    IdScheme.ULID: (
+        dict(ordering_checked=True, effective_mbps=166.4),
+        "ba428620052095bddc7b9e46420d9012c7a042ccaa777ec340b98df1c98ba9b1",
+    ),
+    IdScheme.UUID_V7: (
+        dict(ordering_checked=True, effective_mbps=230.4),
+        "24c0393e63d2b51557c4285b066e7141bf031363366a01904e3159517cb2e2cf",
+    ),
+    IdScheme.UUID_V4: (
+        dict(ordering_checked=False, effective_mbps=230.4),
+        "2a5f9301272527c35f8a5d80e84bffa63da6a3dd409d68bdf48f8062c94baa20",
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", list(GOLDEN_RUNS), ids=lambda s: s.cli_name)
+def test_golden_deterministic_replay(scheme, tmp_path):
+    path = tmp_path / "stored.txt"
+    cfg = SimConfig(
+        scheme=scheme,
+        producers=600,
+        events_per_producer=2,
+        partitions=2,
+        consumers=1,
+        seed=17,
+        deterministic=True,
+        persist_path=str(path),
+    )
+    fields, digest = GOLDEN_RUNS[scheme]
+    expected = SimReport(
+        scheme=scheme,
+        producers=600,
+        partitions=2,
+        events_total=1200,
+        consumed_total=1200,
+        stored_total=1200,
+        unique_ids=1200,
+        duplicate_count=0,
+        ordering_violations=0,
+        overflow_waits=0,
+        elapsed_seconds=0.003,
+        **fields,
+    )
+    assert run_simulation(cfg) == expected
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
