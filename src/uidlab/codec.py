@@ -62,9 +62,14 @@ _ULID_DIGIT.update({c.lower(): i for i, c in enumerate(CROCKFORD_ALPHABET)})
 for _alias, _canonical in (("O", "0"), ("o", "0"), ("I", "1"), ("i", "1"), ("L", "1"), ("l", "1")):
     _ULID_DIGIT[_alias] = _ULID_DIGIT[_canonical]
 
-_ULID_SHIFTS = tuple(range(125, -1, -5))
-
-_HYPHEN_POSITIONS = (8, 13, 18, 23)
+# Encoding looks up 10 bits at a time in all 1,024 two-character digit pairs.
+_ULID_PAIRS = tuple(a + b for a in CROCKFORD_ALPHABET for b in CROCKFORD_ALPHABET)
+# Decoding fast path: ASCII code -> standard base-32 digit; None deletes the
+# character, so any invalid one shortens the text and sends it to the loop.
+_TO_BASE32 = tuple(
+    "0123456789abcdefghijklmnopqrstuv"[_ULID_DIGIT[chr(i)]] if chr(i) in _ULID_DIGIT else None
+    for i in range(128)
+)
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
 
 
@@ -72,16 +77,29 @@ def ulid_encode(value: Uid128) -> str:
     """Render a 128-bit value as its 26-character canonical ULID string."""
     if not 0 <= value <= UID128_MAX:
         raise ValueError(f"value outside [0, 2^128 - 1]: {value}")
-    return "".join(CROCKFORD_ALPHABET[(value >> shift) & 31] for shift in _ULID_SHIFTS)
+    t, v = _ULID_PAIRS, value
+    return (
+        t[v >> 120] + t[v >> 110 & 1023] + t[v >> 100 & 1023] + t[v >> 90 & 1023] + t[v >> 80 & 1023]
+        + t[v >> 70 & 1023] + t[v >> 60 & 1023] + t[v >> 50 & 1023] + t[v >> 40 & 1023]
+        + t[v >> 30 & 1023] + t[v >> 20 & 1023] + t[v >> 10 & 1023] + t[v & 1023]
+    )
 
 
 def ulid_decode(text: str) -> Uid128:
     """Parse a ULID string back to its 128-bit value.
 
-    Case-insensitive; the aliases I and L read as 1 and O reads as 0.
+    Case-insensitive; the aliases I and L read as 1 and O reads as 0. Valid
+    text takes the ``int(..., 32)`` fast path; anything else goes through
+    the per-character loop, which raises the precise error.
     """
     if len(text) != ULID_TEXT_LENGTH:
         raise InvalidLength(f"ULID must be {ULID_TEXT_LENGTH} characters, got {len(text)}")
+    if text.isascii():
+        digits = text.translate(_TO_BASE32)
+        if len(digits) == ULID_TEXT_LENGTH:
+            value = int(digits, 32)
+            if value <= UID128_MAX:
+                return value
     value = 0
     for ch in text:
         digit = _ULID_DIGIT.get(ch)
@@ -105,9 +123,15 @@ def uuid_parse(text: str) -> Uid128:
     """Parse a hyphenated UUID string (either case) back to its 128-bit value."""
     if len(text) != UUID_TEXT_LENGTH:
         raise InvalidLength(f"UUID must be {UUID_TEXT_LENGTH} characters, got {len(text)}")
-    if text.count("-") != 4 or any(text[i] != "-" for i in _HYPHEN_POSITIONS):
+    if text.count("-") != 4 or text[8:24:5] != "----":
         raise MisplacedHyphen("hyphens must sit at positions 8, 13, 18 and 23")
     digits = text.replace("-", "")
+    # int() would also take a "0x" prefix, so an 'x' at index 1 skips the fast path.
+    if digits.isascii() and digits.isalnum() and digits[1] not in "xX":
+        try:
+            return int(digits, 16)
+        except ValueError:
+            pass
     for ch in digits:
         if ch not in _HEX_DIGITS:
             raise InvalidCharacter(f"character {ch!r} is not a hexadecimal digit")

@@ -16,10 +16,12 @@ reproduces the full report bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import codec
 from .core import (
@@ -71,8 +73,7 @@ class UnknownPartition(ValueError):
     pass
 
 
-@dataclass(slots=True, frozen=True)
-class Event:
+class Event(NamedTuple):
     """One simulated message: serialized identifier plus provenance."""
 
     id: str
@@ -103,10 +104,10 @@ class Topic:
 
     def publish(self, event: Event) -> tuple[int, int]:
         """Append atomically; returns (partition, offset)."""
-        if self._closed:
-            raise TopicClosed(f"topic {self.name!r} is closed")
         p = partition_for(event.id, self.partitions)
         with self._append_locks[p]:
+            if self._closed:
+                raise TopicClosed(f"topic {self.name!r} is closed")
             log = self._logs[p]
             log.append(event)
             return p, len(log) - 1
@@ -124,7 +125,11 @@ class Topic:
         return log[start:end]
 
     def close(self) -> None:
-        self._closed = True
+        """Stop accepting events: once this returns, no publish appends."""
+        with contextlib.ExitStack() as held:
+            for lock in self._append_locks:
+                held.enter_context(lock)
+            self._closed = True
 
     def end_offset(self, partition: int) -> int:
         return len(self._logs[partition])

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uidlab.codec import (
     CROCKFORD_ALPHABET,
+    CodecError,
     InvalidCharacter,
     InvalidLength,
     MisplacedHyphen,
@@ -151,3 +154,118 @@ def test_serialized_lengths_are_fixed():
         value = rng.getrandbits(128)
         assert len(ulid_encode(value)) == 26
         assert len(uuid_format(value)) == 36
+
+
+# --- fast paths against the reference loops -----------------------------------
+#
+# ulid_decode and uuid_parse return early on valid input through int(); every
+# other input must meet the same fate as in the per-character loops below,
+# which are the decoders as they were before the fast paths.
+
+_REF_ULID_DIGIT = {c: i for i, c in enumerate(CROCKFORD_ALPHABET)}
+_REF_ULID_DIGIT.update({c.lower(): i for i, c in enumerate(CROCKFORD_ALPHABET)})
+_REF_ULID_DIGIT.update({"O": 0, "o": 0, "I": 1, "i": 1, "L": 1, "l": 1})
+_REF_HEX_DIGITS = set("0123456789abcdefABCDEF")
+
+
+def reference_ulid_decode(text):
+    if len(text) != 26:
+        raise InvalidLength(f"ULID must be 26 characters, got {len(text)}")
+    value = 0
+    for ch in text:
+        digit = _REF_ULID_DIGIT.get(ch)
+        if digit is None:
+            raise InvalidCharacter(f"character {ch!r} is not in the ULID alphabet")
+        value = (value << 5) | digit
+    if value > UID_MAX:
+        raise Overflow("leading character above '7' does not fit in 128 bits")
+    return value
+
+
+def reference_uuid_parse(text):
+    if len(text) != 36:
+        raise InvalidLength(f"UUID must be 36 characters, got {len(text)}")
+    if text.count("-") != 4 or any(text[i] != "-" for i in (8, 13, 18, 23)):
+        raise MisplacedHyphen("hyphens must sit at positions 8, 13, 18 and 23")
+    digits = text.replace("-", "")
+    for ch in digits:
+        if ch not in _REF_HEX_DIGITS:
+            raise InvalidCharacter(f"character {ch!r} is not a hexadecimal digit")
+    return int(digits, 16)
+
+
+def outcome(decoder, text):
+    """The value, or the exception class and message, that ``decoder`` gives."""
+    try:
+        return decoder(text)
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+# Characters int() accepts or reinterprets where the loops reject them: the
+# digit separator, whitespace, signs, base-36 'U', the hex prefix 'x', and
+# non-ASCII decimal digits (ARABIC-INDIC THREE, FULLWIDTH ONE).
+TRAPS = ["_", " ", "\t", "+", "-", "U", "u", "x", "X", "\u0663", "\uff11"]
+ULID_CHARS = CROCKFORD_ALPHABET + CROCKFORD_ALPHABET.lower() + "IiLlOo"
+HEX_CHARS = "0123456789abcdefABCDEF-"
+uids = st.integers(0, UID_MAX)
+
+
+def text_of(length, alphabet):
+    """Text of ``length`` drawn mostly from ``alphabet``, with traps and any character."""
+    chars = st.one_of(st.sampled_from(alphabet), st.sampled_from(TRAPS), st.characters())
+    return st.text(chars, min_size=length, max_size=length)
+
+
+def replace_one(text, data):
+    """``text`` with one character, at a drawn position, replaced by a trap."""
+    i = data.draw(st.integers(0, len(text) - 1))
+    return text[:i] + data.draw(st.sampled_from(TRAPS)) + text[i + 1 :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_of(26, ULID_CHARS))
+@example("8ZZZZZZZZZZZZZZZZZZZZZZZZZ")
+@example("0000000000000000000000000\u0663")
+def test_ulid_decode_matches_reference_on_any_text(text):
+    assert outcome(ulid_decode, text) == outcome(reference_ulid_decode, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(uids, st.booleans(), st.data())
+def test_ulid_decode_matches_reference_with_one_trap(value, lower, data):
+    text = ulid_encode(value)
+    text = replace_one(text.lower() if lower else text, data)
+    assert outcome(ulid_decode, text) == outcome(reference_ulid_decode, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_of(36, HEX_CHARS))
+@example("0x000000-0000-4000-8000-000000000000")
+@example("0X000000-0000-4000-8000-000000000000")
+@example("00000000-0000-4000-8000-00000000000\uff11")
+def test_uuid_parse_matches_reference_on_any_text(text):
+    assert outcome(uuid_parse, text) == outcome(reference_uuid_parse, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(uids, st.booleans(), st.data())
+def test_uuid_parse_matches_reference_with_one_trap(value, upper, data):
+    text = uuid_format(value)
+    text = replace_one(text.upper() if upper else text, data)
+    assert outcome(uuid_parse, text) == outcome(reference_uuid_parse, text)
+
+
+@settings(deadline=None)
+@given(uids)
+def test_codec_property_matches_oracle_and_round_trips(value):
+    text = ulid_encode(value)
+    assert text == reference_base32(value)
+    assert ulid_decode(text) == value
+    assert uuid_parse(uuid_format(value)) == value
+
+
+@settings(deadline=None)
+@given(uids, uids)
+def test_ulid_encode_property_preserves_order(a, b):
+    assert (a < b) == (ulid_encode(a) < ulid_encode(b))

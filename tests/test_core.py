@@ -1,6 +1,8 @@
 import uuid as stdlib_uuid
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uidlab.core import (
     IdScheme,
@@ -152,6 +154,45 @@ def test_monotonic_strictly_increasing_mixed_clock():
     for delta in script:
         clock.advance(delta)
         value = next_monotonic_ulid(state, clock, rng)
+        if previous is not None:
+            assert value > previous
+        previous = value
+
+
+class ScriptedBits:
+    """Returns the scripted values in turn, cycling."""
+
+    def __init__(self, values):
+        self.values = values
+        self.calls = 0
+
+    def next_bits(self, k):
+        value = self.values[self.calls % len(self.values)]
+        self.calls += 1
+        return value
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, TIMESTAMP48_MAX),
+    # Mostly stalls and small steps either way, sometimes a long jump.
+    st.lists(st.integers(-2, 2) | st.integers(-(1 << 40), 1 << 40), min_size=1, max_size=80),
+    # Fresh draws near all ones make the 80-bit increment run out.
+    st.lists(st.integers(RANDOM80_MAX - 2, RANDOM80_MAX) | st.integers(0, RANDOM80_MAX), min_size=1),
+)
+def test_monotonic_property_under_any_clock(start, steps, draws):
+    """Strictly increasing; RandomOverflow exactly when the component is all ones."""
+    state, clock, rng = MonotonicState(), FixedClock(start), ScriptedBits(draws)
+    previous = None
+    for step in steps:
+        clock.millis = min(max(clock.millis + step, 0), TIMESTAMP48_MAX)
+        exhausted = clock.millis <= state.last_ts and state.last_random == RANDOM80_MAX
+        try:
+            value = next_monotonic_ulid(state, clock, rng)
+        except RandomOverflow:
+            assert exhausted
+            continue
+        assert not exhausted
         if previous is not None:
             assert value > previous
         previous = value

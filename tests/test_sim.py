@@ -1,5 +1,8 @@
 import collections
 import hashlib
+import sys
+import threading
+import time
 
 import pytest
 
@@ -100,6 +103,106 @@ def test_publish_after_close():
     with pytest.raises(TopicClosed):
         topic.publish(make_event("A" * 26))
 
+
+
+class StalledLogs(list):
+    """Partition logs whose lookup calls ``stall`` first."""
+
+    def __init__(self, logs, stall):
+        super().__init__(logs)
+        self.stall = stall
+
+    def __getitem__(self, index):
+        self.stall()
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("stall_at", ["partition", "append"])
+def test_no_append_after_close_returns(monkeypatch, stall_at):
+    # Stall one publish, either before it takes the append lock (in
+    # partition_for) or after its closed check (at the log lookup), close the
+    # topic meanwhile, then let the publish go on: it must not land after
+    # close() has returned.
+    topic = Topic("t", 1)
+    entered, release = threading.Event(), threading.Event()
+
+    def stall():
+        if threading.current_thread().name == "publisher" and not entered.is_set():
+            entered.set()
+            release.wait(5)
+
+    if stall_at == "partition":
+        monkeypatch.setattr(sim, "partition_for", lambda *args: stall() or partition_for(*args))
+    else:
+        topic._logs = StalledLogs(topic._logs, stall)
+    outcomes, end_at_close = [], []
+
+    def publish():
+        try:
+            topic.publish(make_event("A" * 26))
+            outcomes.append("appended")
+        except TopicClosed:
+            outcomes.append("closed")
+
+    def close():
+        topic.close()
+        end_at_close.append(topic.end_offset(0))
+
+    publisher = threading.Thread(target=publish, name="publisher")
+    publisher.start()
+    assert entered.wait(5)
+    closer = threading.Thread(target=close)
+    closer.start()
+    closer.join(0.2)  # a close() that waits for the stalled publish is allowed
+    release.set()
+    closer.join(5)
+    publisher.join(5)
+    assert not closer.is_alive() and not publisher.is_alive()
+    assert topic.end_offset(0) == end_at_close[0]
+    assert outcomes == ["appended" if end_at_close[0] else "closed"]
+
+
+def test_close_under_concurrent_publishers():
+    # More publishers than cores, switching threads as often as possible.
+    topic = Topic("t", 2)
+    started = threading.Barrier(7)
+
+    def publish(producer):
+        started.wait(5)
+        try:
+            for seq in range(100_000):
+                topic.publish(make_event(f"{producer:02d}{seq:024d}", producer, seq))
+        except TopicClosed:
+            pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        publishers = [threading.Thread(target=publish, args=(i,)) for i in range(6)]
+        for t in publishers:
+            t.start()
+        started.wait(5)
+        while topic.end_offset(0) + topic.end_offset(1) < 1_000:
+            time.sleep(0.001)
+        topic.close()
+        at_close = [topic.end_offset(p) for p in range(2)]
+        for t in publishers:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in publishers)
+    assert [topic.end_offset(p) for p in range(2)] == at_close
+
+
+def test_event_contract():
+    event = make_event("A" * 26, producer=3, seq=9)
+    assert Event._fields == ("id", "producer", "seq", "produced_at", "payload_bytes")
+    with pytest.raises(AttributeError):
+        event.id = "B" * 26
+    with pytest.raises(AttributeError):
+        event.extra = 1
+    assert hash(event) == hash(make_event("A" * 26, producer=3, seq=9))
+    assert len({event, make_event("A" * 26, producer=3, seq=9), make_event("B" * 26)}) == 2
 
 def test_full_drain_conserves_multiset():
     topic = Topic("t", 4)
