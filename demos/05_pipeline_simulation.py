@@ -4,8 +4,8 @@ Producer -> broker -> consumer, in one process
 
 Producers stamp events with fresh identifiers and publish them to a
 partitioned topic (partition = CRC-32 of the id string, mod partitions).
-A consumer group drains the partitions through offsets and stores
-everything in a uniqueness-checking sink. The report proves conservation
+Consumers drain the partitions through one offset per partition and
+store everything in a uniqueness-checking sink. The report proves conservation
 (published == consumed == stored), uniqueness, and per-producer ordering
 inside each partition.
 """

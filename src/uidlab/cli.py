@@ -39,14 +39,10 @@ def _positive_int(text: str) -> int:
 def _parse_uid_value(text: str) -> int:
     t = text.strip()
     if t.lower().startswith("0x"):
-        value = int(t, 16)
-    elif len(t) == 32 and all(c in "0123456789abcdefABCDEF" for c in t):
-        value = int(t, 16)
-    else:
-        value = int(t, 10)
-    if not 0 <= value < (1 << 128):
-        raise ValueError(f"value outside [0, 2^128 - 1]: {text}")
-    return value
+        return int(t, 16)
+    if len(t) == 32 and all(c in "0123456789abcdefABCDEF" for c in t):
+        return int(t, 16)
+    return int(t, 10)
 
 
 def _make_rng(seed):

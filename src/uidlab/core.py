@@ -159,7 +159,7 @@ class SystemEntropy:
     def next_bits(self, k: int) -> int:
         if not 0 <= k <= 128:
             raise ValueError(f"bit count must be in [0, 128], got {k}")
-        return secrets.randbits(k) if k else 0
+        return secrets.randbits(k)
 
 
 class SeededEntropy:
@@ -174,7 +174,7 @@ class SeededEntropy:
     def next_bits(self, k: int) -> int:
         if not 0 <= k <= 128:
             raise ValueError(f"bit count must be in [0, 128], got {k}")
-        return self._rng.getrandbits(k) if k else 0
+        return self._rng.getrandbits(k)
 
 
 class SystemClock:

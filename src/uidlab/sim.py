@@ -3,10 +3,10 @@
 Producers stamp every event with a fresh identifier and publish it to a
 partitioned, append-only topic; the partition is picked by hashing the
 identifier string (CRC-32, fixed and replayable) modulo the partition count.
-Consumers in one group drain the partitions through per-partition offsets,
-so each event is delivered at most once per group, and store the events in
-a sink that counts duplicate identifiers. After the run the per-partition
-logs can be checked for per-producer ordering violations.
+Consumers drain the partitions through one offset per partition, so each
+event is delivered at most once, and store the events in a sink that counts
+duplicate identifiers. After the run the per-partition logs can be checked
+for per-producer ordering violations.
 
 Two execution modes share all of the above: a threaded mode where producers
 and consumers run concurrently against real time, and a deterministic mode
@@ -56,7 +56,6 @@ __all__ = [
 _VIRTUAL_EPOCH_MS = 1_700_000_000_000
 
 _CONSUME_BATCH = 256
-_GROUP = "sim"
 
 SIM_CSV_HEADER = (
     "scheme,producers,partitions,events_total,consumed_total,stored_total,"
@@ -79,8 +78,6 @@ class Event(NamedTuple):
     id: str
     producer: int
     seq: int
-    produced_at: int
-    payload_bytes: int
 
 
 def partition_for(id_text: str, partitions: int) -> int:
@@ -89,7 +86,7 @@ def partition_for(id_text: str, partitions: int) -> int:
 
 
 class Topic:
-    """Append-only partitioned log with per-group consumer offsets."""
+    """Append-only partitioned log with one consumer offset per partition."""
 
     def __init__(self, name: str, partitions: int):
         if partitions < 1:
@@ -98,7 +95,7 @@ class Topic:
         self.partitions = partitions
         self._logs: list[list[Event]] = [[] for _ in range(partitions)]
         self._append_locks = [threading.Lock() for _ in range(partitions)]
-        self._offsets: dict[tuple[str, int], int] = {}
+        self._offsets = [0] * partitions
         self._offsets_lock = threading.Lock()
         self._closed = False
 
@@ -112,16 +109,18 @@ class Topic:
             log.append(event)
             return p, len(log) - 1
 
-    def consume(self, group: str, partition: int, max_events: int) -> list[Event]:
-        """Next batch for the group, advancing its offset; never re-delivers."""
+    def _check_partition(self, partition: int) -> None:
         if not 0 <= partition < self.partitions:
             raise UnknownPartition(f"partition {partition} not in [0, {self.partitions})")
-        key = (group, partition)
+
+    def consume(self, partition: int, max_events: int) -> list[Event]:
+        """Next batch of the partition, advancing its offset; never re-delivers."""
+        self._check_partition(partition)
         log = self._logs[partition]
         with self._offsets_lock:
-            start = self._offsets.get(key, 0)
+            start = self._offsets[partition]
             end = min(len(log), start + max_events)
-            self._offsets[key] = end
+            self._offsets[partition] = end
         return log[start:end]
 
     def close(self) -> None:
@@ -132,14 +131,17 @@ class Topic:
             self._closed = True
 
     def end_offset(self, partition: int) -> int:
+        self._check_partition(partition)
         return len(self._logs[partition])
 
-    def committed(self, group: str, partition: int) -> int:
+    def committed(self, partition: int) -> int:
+        self._check_partition(partition)
         with self._offsets_lock:
-            return self._offsets.get((group, partition), 0)
+            return self._offsets[partition]
 
     def partition_log(self, partition: int) -> tuple[Event, ...]:
         """Immutable view of one partition, for post-run verification."""
+        self._check_partition(partition)
         return tuple(self._logs[partition])
 
 
@@ -155,7 +157,6 @@ class Sink:
         self.stored: dict[str, tuple[int, int]] = {}
         self.duplicate_count = 0
         self.insertions = 0
-        self.payload_bits = 0
         self._file = open(persist_path, "w", encoding="ascii") if persist_path else None
 
     def store(self, events) -> None:
@@ -166,7 +167,6 @@ class Sink:
                 else:
                     self.stored[e.id] = (e.producer, e.seq)
                 self.insertions += 1
-                self.payload_bits += e.payload_bytes * 8
                 if self._file is not None:
                     self._file.write(e.id + "\n")
 
@@ -187,7 +187,6 @@ class SimConfig:
     consumers: int = 4
     produce_interval: float = 0.0
     seed: int = 0
-    bytes_per_char: int = 2
     deterministic: bool = False
     persist_path: str | None = None
 
@@ -316,8 +315,6 @@ class _Producer:
         self.state = MonotonicState()
         self.next_value = id_generator(cfg.scheme, clock, self.rng, self.state)
         self.encode = codec.encoder_for(cfg.scheme)
-        self.timestamped = cfg.scheme.time_ordered
-        self.payload_bytes = serialized_size(cfg.scheme, cfg.bytes_per_char)
         self.overflow_waits = 0
 
     def make_event(self, seq: int) -> Event:
@@ -328,8 +325,7 @@ class _Producer:
             except RandomOverflow:
                 self.overflow_waits += 1
                 self._wait_next_millisecond()
-        produced_at = value >> 80 if self.timestamped else self.clock.now()
-        return Event(self.encode(value), self.index, seq, produced_at, self.payload_bytes)
+        return Event(self.encode(value), self.index, seq)
 
     def _wait_next_millisecond(self) -> None:
         if isinstance(self.clock, FixedClock):
@@ -358,14 +354,14 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             """Store one batch from each partition; return the events moved."""
             moved = 0
             for p in partitions:
-                batch = topic.consume(_GROUP, p, _CONSUME_BATCH)
+                batch = topic.consume(p, _CONSUME_BATCH)
                 if batch:
                     sink.store(batch)
                     moved += len(batch)
             return moved
 
         def lagging(partitions) -> bool:
-            return any(topic.committed(_GROUP, p) < topic.end_offset(p) for p in partitions)
+            return any(topic.committed(p) < topic.end_offset(p) for p in partitions)
 
         schedule = _schedule_rounds if cfg.deterministic else _schedule_threads
         consumed, elapsed = schedule(cfg, topic, producers, assignments, drain, lagging, clock)
@@ -460,6 +456,8 @@ def _build_report(cfg, topic, sink, consumed_total, overflow_waits, elapsed) -> 
         ordering_checked, ordering_violations = True, len(ordering.violations)
     else:
         ordering_checked, ordering_violations = False, 0
+    # Two bytes per character: 52 bytes per ULID, 72 per UUID.
+    payload_bits = sink.insertions * serialized_size(cfg.scheme, 2) * 8
     return SimReport(
         scheme=cfg.scheme,
         producers=cfg.producers,
@@ -473,5 +471,5 @@ def _build_report(cfg, topic, sink, consumed_total, overflow_waits, elapsed) -> 
         ordering_violations=ordering_violations,
         overflow_waits=overflow_waits,
         elapsed_seconds=elapsed,
-        effective_mbps=bandwidth_mbps(sink.payload_bits, elapsed),
+        effective_mbps=bandwidth_mbps(payload_bits, elapsed),
     )

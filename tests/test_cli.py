@@ -70,6 +70,14 @@ def test_encode_decode_round_trip(capsys):
     assert out.strip() == value
 
 
+@pytest.mark.parametrize("target", ["ulid", "uuid"])
+def test_encode_rejects_value_past_128_bits(capsys, target):
+    status, out, err = run_cli(capsys, "encode", "--to", target, "0x1" + "0" * 32)
+    assert status == 1
+    assert out == ""
+    assert "error" in err
+
+
 def test_decode_uuid_string(capsys):
     status, out, _ = run_cli(capsys, "decode", "00000000-0000-4000-8000-000000000000")
     assert status == 0

@@ -230,6 +230,10 @@ def test_seeded_entropy_is_reproducible():
 def test_entropy_bit_count_contract():
     assert SeededEntropy(0).next_bits(0) == 0
     assert SystemEntropy().next_bits(0) == 0
+    # A zero-bit draw leaves the seeded stream where it was.
+    drawn = SeededEntropy(7)
+    drawn.next_bits(0)
+    assert drawn.next_bits(80) == SeededEntropy(7).next_bits(80)
     for k in (1, 80, 128):
         assert 0 <= SystemEntropy().next_bits(k) < (1 << k)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from uidlab import sim
-from uidlab.codec import ulid_encode, uuid_format
+from uidlab.codec import ulid_decode, ulid_encode, uuid_format
 from uidlab.core import (
     FixedClock,
     IdScheme,
@@ -45,7 +45,7 @@ def crc32_reference(data: bytes) -> int:
 
 
 def make_event(text, producer=0, seq=0):
-    return Event(text, producer, seq, 0, 52)
+    return Event(text, producer, seq)
 
 
 def test_partition_matches_independent_crc():
@@ -70,9 +70,9 @@ def test_consume_respects_offsets_and_batch_size():
     topic = Topic("t", 1)
     for i in range(3):
         topic.publish(make_event(f"{i:026d}", seq=i))
-    first = topic.consume("g", 0, 2)
-    second = topic.consume("g", 0, 2)
-    third = topic.consume("g", 0, 2)
+    first = topic.consume(0, 2)
+    second = topic.consume(0, 2)
+    third = topic.consume(0, 2)
     assert [e.seq for e in first] == [0, 1]
     assert [e.seq for e in second] == [2]
     assert third == []
@@ -80,21 +80,22 @@ def test_consume_respects_offsets_and_batch_size():
 
 def test_consume_empty_partition():
     topic = Topic("t", 2)
-    assert topic.consume("g", 1, 100) == []
+    assert topic.consume(1, 100) == []
 
 
 def test_unknown_partition():
     topic = Topic("t", 2)
     with pytest.raises(UnknownPartition):
-        topic.consume("g", 2, 1)
+        topic.consume(2, 1)
 
 
-def test_groups_have_independent_offsets():
-    topic = Topic("t", 1)
+@pytest.mark.parametrize("partition", [-1, 2])
+@pytest.mark.parametrize("accessor", ["end_offset", "committed", "partition_log"])
+def test_accessors_reject_unknown_partition(accessor, partition):
+    topic = Topic("t", 2)
     topic.publish(make_event("A" * 26))
-    assert len(topic.consume("g1", 0, 10)) == 1
-    assert len(topic.consume("g2", 0, 10)) == 1
-    assert topic.consume("g1", 0, 10) == []
+    with pytest.raises(UnknownPartition):
+        getattr(topic, accessor)(partition)
 
 
 def test_publish_after_close():
@@ -196,7 +197,7 @@ def test_close_under_concurrent_publishers():
 
 def test_event_contract():
     event = make_event("A" * 26, producer=3, seq=9)
-    assert Event._fields == ("id", "producer", "seq", "produced_at", "payload_bytes")
+    assert Event._fields == ("id", "producer", "seq")
     with pytest.raises(AttributeError):
         event.id = "B" * 26
     with pytest.raises(AttributeError):
@@ -218,7 +219,7 @@ def test_full_drain_conserves_multiset():
     drained = []
     for p in range(4):
         while True:
-            batch = topic.consume("g", p, 64)
+            batch = topic.consume(p, 64)
             if not batch:
                 break
             drained.extend(e.id for e in batch)
@@ -444,7 +445,7 @@ def test_producer_recovers_from_random_overflow():
     producer.state.last_random = RANDOM80_MAX
     event = producer.make_event(1)
     assert producer.overflow_waits == 1
-    assert event.produced_at == 1_001
+    assert ulid_decode(event.id) >> 80 == 1_001
 
 
 def test_report_csv_shape():
