@@ -63,6 +63,8 @@ for _alias, _canonical in (("O", "0"), ("o", "0"), ("I", "1"), ("i", "1"), ("L",
     _ULID_DIGIT[_alias] = _ULID_DIGIT[_canonical]
 
 # Encoding looks up 10 bits at a time in all 1,024 two-character digit pairs.
+# One f-string joins the 13 pairs into one new string; chained + would build
+# 11 throwaway intermediates.
 _ULID_PAIRS = tuple(a + b for a in CROCKFORD_ALPHABET for b in CROCKFORD_ALPHABET)
 # Decoding fast path: ASCII code -> standard base-32 digit; None deletes the
 # character, so any invalid one shortens the text and sends it to the loop.
@@ -79,9 +81,9 @@ def ulid_encode(value: Uid128) -> str:
         raise ValueError(f"value outside [0, 2^128 - 1]: {value}")
     t, v = _ULID_PAIRS, value
     return (
-        t[v >> 120] + t[v >> 110 & 1023] + t[v >> 100 & 1023] + t[v >> 90 & 1023] + t[v >> 80 & 1023]
-        + t[v >> 70 & 1023] + t[v >> 60 & 1023] + t[v >> 50 & 1023] + t[v >> 40 & 1023]
-        + t[v >> 30 & 1023] + t[v >> 20 & 1023] + t[v >> 10 & 1023] + t[v & 1023]
+        f"{t[v >> 120]}{t[v >> 110 & 1023]}{t[v >> 100 & 1023]}{t[v >> 90 & 1023]}{t[v >> 80 & 1023]}"
+        f"{t[v >> 70 & 1023]}{t[v >> 60 & 1023]}{t[v >> 50 & 1023]}{t[v >> 40 & 1023]}"
+        f"{t[v >> 30 & 1023]}{t[v >> 20 & 1023]}{t[v >> 10 & 1023]}{t[v & 1023]}"
     )
 
 

@@ -274,7 +274,9 @@ def next_monotonic_ulid(
     component cannot be incremented; the caller should retry after the next
     clock tick.
     """
-    now = check_timestamp48((clock or _DEFAULT_CLOCK).now())
+    now = (clock or _DEFAULT_CLOCK).now()
+    if not 0 <= now <= TIMESTAMP48_MAX:
+        check_timestamp48(now)  # raises; the range test is inlined to save a call per id
     if now > state.last_ts:
         rand = (rng or _DEFAULT_ENTROPY).next_bits(80)
         state.last_ts = now

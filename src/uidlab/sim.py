@@ -115,12 +115,18 @@ class Topic:
 
     def consume(self, partition: int, max_events: int) -> list[Event]:
         """Next batch of the partition, advancing its offset; never re-delivers."""
-        self._check_partition(partition)
-        log = self._logs[partition]
+        if not 0 <= partition < self.partitions:
+            self._check_partition(partition)
+        log, offsets = self._logs[partition], self._offsets
+        # An empty partition takes no lock. Offsets and logs only grow and the
+        # offset is read first, so a stale read can only defer a batch to the
+        # next drain, never skip or repeat one.
+        if offsets[partition] == len(log):
+            return []
         with self._offsets_lock:
-            start = self._offsets[partition]
+            start = offsets[partition]
             end = min(len(log), start + max_events)
-            self._offsets[partition] = end
+            offsets[partition] = end
         return log[start:end]
 
     def close(self) -> None:
@@ -160,15 +166,17 @@ class Sink:
         self._file = open(persist_path, "w", encoding="ascii") if persist_path else None
 
     def store(self, events) -> None:
+        """Store one batch, a sized sequence of events."""
         with self._lock:
-            for e in events:
-                if e.id in self.stored:
+            stored, file = self.stored, self._file
+            for id_, producer, seq in events:
+                if id_ in stored:
                     self.duplicate_count += 1
                 else:
-                    self.stored[e.id] = (e.producer, e.seq)
-                self.insertions += 1
-                if self._file is not None:
-                    self._file.write(e.id + "\n")
+                    stored[id_] = (producer, seq)
+                if file is not None:
+                    file.write(id_ + "\n")
+            self.insertions += len(events)
 
     def close(self) -> None:
         if self._file is not None:
@@ -325,7 +333,8 @@ class _Producer:
             except RandomOverflow:
                 self.overflow_waits += 1
                 self._wait_next_millisecond()
-        return Event(self.encode(value), self.index, seq)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__; still an Event.
+        return tuple.__new__(Event, (self.encode(value), self.index, seq))
 
     def _wait_next_millisecond(self) -> None:
         if isinstance(self.clock, FixedClock):
@@ -350,13 +359,15 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         # Consumer i owns the partitions congruent to i modulo the consumer count.
         assignments = [range(i, cfg.partitions, cfg.consumers) for i in range(cfg.consumers)]
 
+        consume, store = topic.consume, sink.store
+
         def drain(partitions) -> int:
             """Store one batch from each partition; return the events moved."""
             moved = 0
             for p in partitions:
-                batch = topic.consume(p, _CONSUME_BATCH)
+                batch = consume(p, _CONSUME_BATCH)
                 if batch:
-                    sink.store(batch)
+                    store(batch)
                     moved += len(batch)
             return moved
 
@@ -432,10 +443,13 @@ def _schedule_rounds(cfg, topic, producers, assignments, drain, lagging, clock):
     and the clock ticks one millisecond. Returns (events consumed, virtual
     seconds at one millisecond per round).
     """
+    # Bound once per run: a tracer or a patch installed before the run still applies.
+    publish = topic.publish
+    makers = [producer.make_event for producer in producers]
     consumed = 0
     for seq in range(cfg.events_per_producer):
-        for producer in producers:
-            topic.publish(producer.make_event(seq))
+        for make_event in makers:
+            publish(make_event(seq))
         for partitions in assignments:
             consumed += drain(partitions)
         clock.advance(1)

@@ -1,3 +1,4 @@
+import re
 import uuid as stdlib_uuid
 
 import pytest
@@ -219,6 +220,22 @@ def test_timestamp48_range():
         check_timestamp48(TIMESTAMP48_MAX + 1)
     with pytest.raises(ValueError):
         generate_ulid(FixedClock(1 << 48), SeededEntropy(0))
+
+
+@pytest.mark.parametrize("millis", [-1, TIMESTAMP48_MAX + 1], ids=["negative", "past-48-bits"])
+def test_generators_reject_clock_outside_48_bits(millis):
+    with pytest.raises(ValueError) as reference:
+        check_timestamp48(millis)
+    message = f"^{re.escape(str(reference.value))}$"
+    clock = FixedClock(millis)
+    state = MonotonicState(last_ts=5, last_random=7)
+    with pytest.raises(ValueError, match=message):
+        next_monotonic_ulid(state, clock, SeededEntropy(0))
+    assert state == MonotonicState(last_ts=5, last_random=7)
+    with pytest.raises(ValueError, match=message):
+        generate_ulid(clock, SeededEntropy(0))
+    with pytest.raises(ValueError, match=message):
+        generate_uuidv7(clock, SeededEntropy(0))
 
 
 def test_seeded_entropy_is_reproducible():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from uidlab import sim
+from uidlab import codec, core, sim
 from uidlab.codec import ulid_decode, ulid_encode, uuid_format
 from uidlab.core import (
     FixedClock,
@@ -76,17 +76,31 @@ def test_consume_respects_offsets_and_batch_size():
     assert [e.seq for e in first] == [0, 1]
     assert [e.seq for e in second] == [2]
     assert third == []
+    assert topic.committed(0) == 3
 
 
 def test_consume_empty_partition():
     topic = Topic("t", 2)
     assert topic.consume(1, 100) == []
+    assert topic.committed(1) == 0
 
 
 def test_unknown_partition():
     topic = Topic("t", 2)
     with pytest.raises(UnknownPartition):
         topic.consume(2, 1)
+
+
+@pytest.mark.parametrize("published", [0, 1], ids=["empty", "published"])
+@pytest.mark.parametrize("partition", [-1, 2])
+def test_consume_rejects_unknown_partition(partition, published):
+    # On an empty topic every offset equals its log length, so this also
+    # checks that the bounds check comes before the empty-partition return.
+    topic = Topic("t", 2)
+    for _ in range(published):
+        topic.publish(make_event("A" * 26))
+    with pytest.raises(UnknownPartition):
+        topic.consume(partition, 1)
 
 
 @pytest.mark.parametrize("partition", [-1, 2])
@@ -204,6 +218,132 @@ def test_event_contract():
         event.extra = 1
     assert hash(event) == hash(make_event("A" * 26, producer=3, seq=9))
     assert len({event, make_event("A" * 26, producer=3, seq=9), make_event("B" * 26)}) == 2
+
+
+def test_producer_events_keep_the_event_contract():
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=3, events_per_producer=1, seed=0)
+    event = _Producer(2, cfg, FixedClock(1_000)).make_event(7)
+    assert type(event) is Event
+    assert event == Event(*event)
+    assert hash(event) == hash(Event(*event))
+    assert (event.id, event.producer, event.seq) == (event[0], 2, 7)
+    assert ulid_decode(event.id) >> 80 == 1_000
+
+
+def _with_switch_interval(work, timeout=60):
+    """Run ``work`` on a thread, switching threads as often as possible."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=work, daemon=True)
+        runner.start()
+        runner.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+
+
+def test_threaded_run_stores_every_event_once():
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=4,
+        events_per_producer=2000,
+        partitions=4,
+        consumers=2,
+        seed=23,
+    )
+    reports = []
+    _with_switch_interval(lambda: reports.append(run_simulation(cfg)))
+    (report,) = reports
+    assert report.conserved
+    assert report.events_total == report.unique_ids == 8000
+    assert report.duplicate_count == 0
+
+
+def test_consumers_sharing_partitions_store_every_event_once():
+    # Both consumers drain every partition while four publishers append, so
+    # they race for each offset, locked or not.
+    topic, sink = Topic("t", 4), Sink()
+    published = threading.Event()
+
+    def publish(producer):
+        for seq in range(2000):
+            topic.publish(make_event(f"{producer:02d}{seq:024d}", producer, seq))
+
+    def consume():
+        while True:
+            moved = 0
+            for p in range(4):
+                batch = topic.consume(p, 64)
+                if batch:
+                    sink.store(batch)
+                    moved += len(batch)
+            lagging = any(topic.committed(p) < topic.end_offset(p) for p in range(4))
+            if not moved and published.is_set() and not lagging:
+                return
+
+    def run():
+        publishers = [threading.Thread(target=publish, args=(i,), daemon=True) for i in range(4)]
+        consumers = [threading.Thread(target=consume, daemon=True) for _ in range(2)]
+        for t in consumers + publishers:
+            t.start()
+        for t in publishers:
+            t.join()
+        published.set()
+        for t in consumers:
+            t.join()
+
+    _with_switch_interval(run)
+    assert sink.insertions == len(sink.stored) == 8000
+    assert sink.duplicate_count == 0
+    assert sorted(sink.stored.values()) == [(p, s) for p in range(4) for s in range(2000)]
+
+
+# Entry points an outside tracer wraps by attribute, each on the module or
+# class that defines it. A call that bypasses one of them goes untraced.
+TRACED_ENTRY_POINTS = [
+    (SeededEntropy, "next_bits"),
+    (core, "next_monotonic_ulid"),
+    (codec, "ulid_encode"),
+    (sim, "partition_for"),
+    (Topic, "publish"),
+    (Topic, "consume"),
+    (Sink, "store"),
+    (sim, "verify_ordering"),
+]
+
+
+def test_deterministic_run_calls_every_traced_entry_point(monkeypatch):
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=8,
+        events_per_producer=125,
+        partitions=4,
+        consumers=4,
+        seed=1,
+        deterministic=True,
+    )
+    unwrapped = run_simulation(cfg)
+    calls = collections.Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = original(*args, **kwargs)
+            if name == "consume" and result:
+                calls["consume non-empty"] += 1
+            return result
+
+        return wrapper
+
+    for owner, name in TRACED_ENTRY_POINTS:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    assert run_simulation(cfg) == unwrapped
+    for name in ("next_bits", "next_monotonic_ulid", "ulid_encode", "partition_for", "publish"):
+        assert calls[name] == 1000, name
+    assert calls["verify_ordering"] == 1
+    assert calls["store"] == calls["consume non-empty"] > 0
+
 
 def test_full_drain_conserves_multiset():
     topic = Topic("t", 4)
