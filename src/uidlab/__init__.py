@@ -8,83 +8,13 @@ and an in-process producer/broker/consumer pipeline that checks uniqueness
 and ordering end to end.
 """
 
-from .core import (
-    UID128_MAX,
-    TIMESTAMP48_MAX,
-    RANDOM80_MAX,
-    Uid128,
-    Timestamp48,
-    IdScheme,
-    RandomSource,
-    ClockSource,
-    SystemEntropy,
-    SeededEntropy,
-    SystemClock,
-    FixedClock,
-    MonotonicState,
-    RandomOverflow,
-    UnsupportedScheme,
-    check_timestamp48,
-    generate_uuidv4,
-    generate_uuidv7,
-    generate_ulid,
-    next_monotonic_ulid,
-    extract_timestamp,
-    version_of,
-    variant_bits_of,
-)
-from .codec import (
-    CROCKFORD_ALPHABET,
-    CodecError,
-    InvalidLength,
-    InvalidCharacter,
-    Overflow,
-    MisplacedHyphen,
-    ulid_encode,
-    ulid_decode,
-    uuid_format,
-    uuid_parse,
-)
-from .collision import (
-    CollisionQuery,
-    Probability,
-    DomainTooLarge,
-    CountExceedsSpace,
-    approx_no_collision_prob,
-    collision_prob,
-    exact_no_collision_prob,
-    count_for_probability,
-    relative_risk,
-    risk_table,
-    RiskTable,
-)
-from .bench import (
-    BenchConfig,
-    MetricsSample,
-    BenchSummary,
-    SummaryStats,
-    SimulatedTimer,
-    serialized_size,
-    bandwidth_mbps,
-    run_generation_bench,
-    write_metrics_csv,
-    read_metrics_csv,
-    summarize,
-    metrics_filename,
-)
-from .sim import (
-    Event,
-    Topic,
-    Sink,
-    SimConfig,
-    SimReport,
-    OrderingReport,
-    OrderingViolation,
-    TopicClosed,
-    UnknownPartition,
-    partition_for,
-    run_simulation,
-    verify_ordering,
-)
+from . import bench, codec, collision, core, sim
+from .core import *
+from .codec import *
+from .collision import *
+from .bench import *
+from .sim import *
+
+__all__ = [*core.__all__, *codec.__all__, *collision.__all__, *bench.__all__, *sim.__all__]
 
 __version__ = "0.1.0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -102,13 +110,19 @@ def _cmd_model(args, parser) -> int:
     if args.solve_p is not None:
         if not 0 < args.solve_p < 1:
             parser.error("--solve-p must be strictly between 0 and 1")
-        n = collision.count_for_probability(args.bits, args.solve_p)
+        try:
+            n = collision.count_for_probability(args.bits, args.solve_p)
+        except ValueError as exc:
+            parser.error(str(exc))
         print(f"{n:.4e}")
         if args.solve_p == 0.5 and args.bits in collision.FIFTY_PERCENT_THRESHOLD_NOTES:
             print(f"note: {collision.FIFTY_PERCENT_THRESHOLD_NOTES[args.bits]}")
         return 0
-    p = collision.collision_prob(collision.CollisionQuery(args.bits, args.count))
-    print(p.sci(args.digits))
+    try:
+        query = collision.CollisionQuery(args.bits, args.count)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(collision.collision_prob(query).sci(args.digits))
     return 0
 
 
@@ -231,12 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--solve-p", type=float, default=None, dest="solve_p")
-    p.add_argument("--digits", type=int, default=2, help="significant digits for single values")
+    p.add_argument("--digits", type=_positive_int, default=2, help="significant digits for single values")
 
     p = sub.add_parser("bench", help="measure generation speed and bandwidth")
     p.add_argument("--scheme", type=_scheme_arg, required=True)
     p.add_argument("--samples", type=_positive_int, default=2420)
-    p.add_argument("--interval-ms", type=float, default=500.0)
+    p.add_argument("--interval-ms", type=_non_negative_float, default=500.0)
     p.add_argument("--ids-per-sample", type=_positive_int, default=1000)
     p.add_argument("--bytes-per-char", type=int, choices=(1, 2), default=2)
     p.add_argument("--out", default=None, help="default: metrics_<SCHEME>.csv")
@@ -249,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=_positive_int, default=1000, help="events per producer")
     p.add_argument("--partitions", type=_positive_int, default=4)
     p.add_argument("--consumers", type=_positive_int, default=4)
-    p.add_argument("--produce-interval-ms", type=float, default=0.0)
+    p.add_argument("--produce-interval-ms", type=_non_negative_float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true", help="single-threaded virtual-time replay")
     p.add_argument("--persist", default=None, help="append stored ids to this file, one per line")

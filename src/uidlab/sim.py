@@ -16,7 +16,6 @@ reproduces the full report bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 import zlib
@@ -86,7 +85,11 @@ def partition_for(id_text: str, partitions: int) -> int:
 
 
 class Topic:
-    """Append-only partitioned log with one consumer offset per partition."""
+    """Append-only partitioned log with one consumer offset per partition.
+
+    One lock guards the appends, the offsets and the closed flag, so once
+    ``close()`` returns no publish can append and every log is final.
+    """
 
     def __init__(self, name: str, partitions: int):
         if partitions < 1:
@@ -94,15 +97,14 @@ class Topic:
         self.name = name
         self.partitions = partitions
         self._logs: list[list[Event]] = [[] for _ in range(partitions)]
-        self._append_locks = [threading.Lock() for _ in range(partitions)]
         self._offsets = [0] * partitions
-        self._offsets_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._closed = False
 
     def publish(self, event: Event) -> tuple[int, int]:
         """Append atomically; returns (partition, offset)."""
         p = partition_for(event.id, self.partitions)
-        with self._append_locks[p]:
+        with self._lock:
             if self._closed:
                 raise TopicClosed(f"topic {self.name!r} is closed")
             log = self._logs[p]
@@ -123,7 +125,7 @@ class Topic:
         # next drain, never skip or repeat one.
         if offsets[partition] == len(log):
             return []
-        with self._offsets_lock:
+        with self._lock:
             start = offsets[partition]
             end = min(len(log), start + max_events)
             offsets[partition] = end
@@ -131,9 +133,7 @@ class Topic:
 
     def close(self) -> None:
         """Stop accepting events: once this returns, no publish appends."""
-        with contextlib.ExitStack() as held:
-            for lock in self._append_locks:
-                held.enter_context(lock)
+        with self._lock:
             self._closed = True
 
     def end_offset(self, partition: int) -> int:
@@ -142,7 +142,7 @@ class Topic:
 
     def committed(self, partition: int) -> int:
         self._check_partition(partition)
-        with self._offsets_lock:
+        with self._lock:
             return self._offsets[partition]
 
     def partition_log(self, partition: int) -> tuple[Event, ...]:
@@ -332,16 +332,10 @@ class _Producer:
                 break
             except RandomOverflow:
                 self.overflow_waits += 1
-                self._wait_next_millisecond()
+                while self.clock.now() <= self.state.last_ts:
+                    time.sleep(0.0002)
         # tuple.__new__ skips the NamedTuple's Python-level __new__; still an Event.
         return tuple.__new__(Event, (self.encode(value), self.index, seq))
-
-    def _wait_next_millisecond(self) -> None:
-        if isinstance(self.clock, FixedClock):
-            self.clock.advance(1)
-            return
-        while self.clock.now() <= self.state.last_ts:
-            time.sleep(0.0002)
 
 
 def run_simulation(cfg: SimConfig) -> SimReport:
@@ -371,11 +365,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
                     moved += len(batch)
             return moved
 
-        def lagging(partitions) -> bool:
-            return any(topic.committed(p) < topic.end_offset(p) for p in partitions)
-
         schedule = _schedule_rounds if cfg.deterministic else _schedule_threads
-        consumed, elapsed = schedule(cfg, topic, producers, assignments, drain, lagging, clock)
+        consumed, elapsed = schedule(cfg, topic, producers, assignments, drain, clock)
         return _build_report(
             cfg, topic, sink, consumed, sum(p.overflow_waits for p in producers), elapsed
         )
@@ -383,12 +374,13 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         sink.close()
 
 
-def _schedule_threads(cfg, topic, producers, assignments, drain, lagging, clock):
+def _schedule_threads(cfg, topic, producers, assignments, drain, clock):
     """One thread per producer and consumer against real time.
 
-    Returns (events consumed, wall seconds).
+    A consumer stops once a drain that began after ``close()`` moves nothing:
+    ``close()`` sets the flag under the lock every append holds, so when the
+    flag reads true every log is final. Returns (events consumed, wall seconds).
     """
-    done = threading.Event()
     consumed = [0] * len(assignments)
     errors: list[Exception] = []
 
@@ -400,10 +392,11 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, lagging, clock)
 
     def consume(idx: int, partitions):
         while True:
+            closed = topic._closed
             moved = drain(partitions)
             consumed[idx] += moved
             if not moved:
-                if done.is_set() and not lagging(partitions):
+                if closed:
                     break
                 time.sleep(0.0002)
 
@@ -427,7 +420,6 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, lagging, clock)
     for t in producer_threads:
         t.join()
     topic.close()
-    done.set()
     for t in consumer_threads:
         t.join()
     elapsed = time.perf_counter() - start
@@ -436,7 +428,7 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, lagging, clock)
     return sum(consumed), elapsed
 
 
-def _schedule_rounds(cfg, topic, producers, assignments, drain, lagging, clock):
+def _schedule_rounds(cfg, topic, producers, assignments, drain, clock):
     """Round-robin on one thread against the virtual clock.
 
     Each round every producer publishes one event, every consumer drains,
@@ -455,9 +447,8 @@ def _schedule_rounds(cfg, topic, producers, assignments, drain, lagging, clock):
         clock.advance(1)
     topic.close()
     rounds = cfg.events_per_producer
-    while lagging(range(cfg.partitions)):
-        for partitions in assignments:
-            consumed += drain(partitions)
+    while moved := sum(drain(partitions) for partitions in assignments):
+        consumed += moved
         rounds += 1
     return consumed, rounds / 1000.0
 

@@ -132,6 +132,30 @@ def test_model_requires_exactly_one_mode(capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sim", "--scheme", "ulid", "--produce-interval-ms", "-1"],
+        ["sim", "--scheme", "ulid", "--produce-interval-ms", "inf"],
+        ["sim", "--scheme", "ulid", "--produce-interval-ms", "nan"],
+        ["bench", "--scheme", "ulid", "--interval-ms", "-5"],
+        ["bench", "--scheme", "ulid", "--interval-ms", "nan"],
+        ["model", "--bits", "80", "--count", "5", "--digits", "0"],
+        ["model", "--bits", "200", "--count", "5"],
+        ["model", "--bits", "80", "--count", "-1"],
+        ["model", "--solve-p", "0.5", "--bits", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error" in err
+    assert "Traceback" not in err
+
+
 def test_bench_writes_csv_and_summary(capsys, tmp_path):
     out_path = tmp_path / "metrics_ULID.csv"
     status, out, _ = run_cli(

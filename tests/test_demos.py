@@ -19,3 +19,14 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_package_exports_every_module_list():
+    from uidlab import bench, codec, collision, core, sim
+
+    modules = [core, codec, collision, bench, sim]
+    assert uidlab.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(uidlab.__all__)) == len(uidlab.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(uidlab, name) is getattr(module, name)

@@ -299,6 +299,32 @@ def test_consumers_sharing_partitions_store_every_event_once():
     assert sorted(sink.stored.values()) == [(p, s) for p in range(4) for s in range(2000)]
 
 
+def test_consumer_stops_only_after_a_drain_that_began_after_close(monkeypatch):
+    # The consumer's first poll sees the topic still open, comes back empty
+    # only once close() has returned, and the producers have published
+    # everything by then: the consumer must drain again before it stops.
+    consume = Topic.consume
+    first = []
+
+    def late_empty_poll(topic, partition, max_events):
+        if first:
+            return consume(topic, partition, max_events)
+        first.append(partition)
+        deadline = time.monotonic() + 10
+        while not topic._closed and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.05)
+        return []
+
+    monkeypatch.setattr(Topic, "consume", late_empty_poll)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID, producers=2, events_per_producer=50, partitions=1, consumers=1
+    )
+    report = run_simulation(cfg)
+    assert report.conserved
+    assert report.stored_total == 100
+
+
 # Entry points an outside tracer wraps by attribute, each on the module or
 # class that defines it. A call that bypasses one of them goes untraced.
 TRACED_ENTRY_POINTS = [
@@ -577,10 +603,21 @@ def test_uuidv4_run_skips_ordering():
     assert "ordering" not in report.render_text()
 
 
+class TickingClock(FixedClock):
+    """Reads 1,000 twice, then 1,001: the next millisecond arrives while waiting."""
+
+    def __init__(self):
+        super().__init__(1_000)
+        self.reads = 0
+
+    def now(self):
+        self.reads += 1
+        return self.millis if self.reads <= 2 else self.millis + 1
+
+
 def test_producer_recovers_from_random_overflow():
     cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=1, seed=0)
-    clock = FixedClock(1_000)
-    producer = _Producer(0, cfg, clock)
+    producer = _Producer(0, cfg, TickingClock())
     producer.make_event(0)
     producer.state.last_random = RANDOM80_MAX
     event = producer.make_event(1)
