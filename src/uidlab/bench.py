@@ -75,6 +75,12 @@ class MalformedMetrics(ValueError):
     """A metrics CSV did not match the expected schema."""
 
 
+# Longest interval, in seconds, that the samplers and producers may sleep.
+# time.sleep raises OverflowError far above it (1e300 s) and OSError already
+# at threading.TIMEOUT_MAX on some hosts, so the cap leaves a wide margin.
+_MAX_SLEEP_S = 1e9
+
+
 @dataclass
 class BenchConfig:
     """Parameters of one benchmark run.
@@ -96,8 +102,8 @@ class BenchConfig:
             raise ValueError("ids_per_sample must be >= 1")
         if self.bytes_per_char not in (1, 2):
             raise ValueError("bytes_per_char must be 1 or 2")
-        if self.sample_interval < 0:
-            raise ValueError("sample_interval must be >= 0")
+        if not 0 <= self.sample_interval <= _MAX_SLEEP_S:
+            raise ValueError(f"sample_interval must be in [0, {_MAX_SLEEP_S:g}] s")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -37,10 +36,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _non_negative_float(text: str) -> float:
+def _interval_ms(text: str) -> float:
     value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    if not 0 <= value <= bench_mod._MAX_SLEEP_S * 1000:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in [0, {bench_mod._MAX_SLEEP_S * 1000:g}] ms, got {text}"
+        )
     return value
 
 
@@ -250,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure generation speed and bandwidth")
     p.add_argument("--scheme", type=_scheme_arg, required=True)
     p.add_argument("--samples", type=_positive_int, default=2420)
-    p.add_argument("--interval-ms", type=_non_negative_float, default=500.0)
+    p.add_argument("--interval-ms", type=_interval_ms, default=500.0)
     p.add_argument("--ids-per-sample", type=_positive_int, default=1000)
     p.add_argument("--bytes-per-char", type=int, choices=(1, 2), default=2)
     p.add_argument("--out", default=None, help="default: metrics_<SCHEME>.csv")
@@ -263,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=_positive_int, default=1000, help="events per producer")
     p.add_argument("--partitions", type=_positive_int, default=4)
     p.add_argument("--consumers", type=_positive_int, default=4)
-    p.add_argument("--produce-interval-ms", type=_non_negative_float, default=0.0)
+    p.add_argument("--produce-interval-ms", type=_interval_ms, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true", help="single-threaded virtual-time replay")
     p.add_argument("--persist", default=None, help="append stored ids to this file, one per line")

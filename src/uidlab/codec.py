@@ -73,17 +73,22 @@ _TO_BASE32 = tuple(
     for i in range(128)
 )
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
+_LOW30 = (1 << 30) - 1
 
 
 def ulid_encode(value: Uid128) -> str:
     """Render a 128-bit value as its 26-character canonical ULID string."""
     if not 0 <= value <= UID128_MAX:
         raise ValueError(f"value outside [0, 2^128 - 1]: {value}")
-    t, v = _ULID_PAIRS, value
+    # Split once into 30-bit chunks (the top one holds 38 bits), so the 12
+    # shift-and-mask steps run on one- or two-digit ints, not a 128-bit one.
+    t = _ULID_PAIRS
+    a, b, c, d = value >> 90, value >> 60 & _LOW30, value >> 30 & _LOW30, value & _LOW30
     return (
-        f"{t[v >> 120]}{t[v >> 110 & 1023]}{t[v >> 100 & 1023]}{t[v >> 90 & 1023]}{t[v >> 80 & 1023]}"
-        f"{t[v >> 70 & 1023]}{t[v >> 60 & 1023]}{t[v >> 50 & 1023]}{t[v >> 40 & 1023]}"
-        f"{t[v >> 30 & 1023]}{t[v >> 20 & 1023]}{t[v >> 10 & 1023]}{t[v & 1023]}"
+        f"{t[a >> 30]}{t[a >> 20 & 1023]}{t[a >> 10 & 1023]}{t[a & 1023]}"
+        f"{t[b >> 20]}{t[b >> 10 & 1023]}{t[b & 1023]}"
+        f"{t[c >> 20]}{t[c >> 10 & 1023]}{t[c & 1023]}"
+        f"{t[d >> 20]}{t[d >> 10 & 1023]}{t[d & 1023]}"
     )
 
 
@@ -117,7 +122,7 @@ def uuid_format(value: Uid128) -> str:
     """Render a 128-bit value as the lowercase 8-4-4-4-12 UUID string."""
     if not 0 <= value <= UID128_MAX:
         raise ValueError(f"value outside [0, 2^128 - 1]: {value}")
-    s = f"{value:032x}"
+    s = value.to_bytes(16, "big").hex()
     return f"{s[0:8]}-{s[8:12]}-{s[12:16]}-{s[16:20]}-{s[20:32]}"
 
 

@@ -23,9 +23,9 @@ the system clock.
 from __future__ import annotations
 
 import enum
-import secrets
 import time
 from dataclasses import dataclass
+from os import urandom
 from random import Random
 from typing import Callable, NamedTuple, Protocol
 
@@ -67,6 +67,9 @@ RANDOM80_MAX = (1 << 80) - 1
 _LOW62 = (1 << 62) - 1
 _VERSION_SHIFT = 76
 _VARIANT_SHIFT = 62
+# Version nibble and variant bits, folded once instead of shifted per call.
+_V4_FIXED = (0x4 << _VERSION_SHIFT) | (0b10 << _VARIANT_SHIFT)
+_V7_FIXED = (0x7 << _VERSION_SHIFT) | (0b10 << _VARIANT_SHIFT)
 
 
 class RandomOverflow(Exception):
@@ -154,12 +157,18 @@ class ClockSource(Protocol):
 
 
 class SystemEntropy:
-    """Cryptographically strong bits from the operating system."""
+    """Cryptographically strong bits from the operating system.
+
+    Each draw is one fresh ``os.urandom`` call of ``ceil(k / 8)`` bytes, the
+    body of ``random.SystemRandom.getrandbits`` (which ``secrets.randbits``
+    runs) without its two Python frames. No bytes are pooled between calls,
+    so nothing random stays in process memory and a fork needs no handling.
+    """
 
     def next_bits(self, k: int) -> int:
         if not 0 <= k <= 128:
             raise ValueError(f"bit count must be in [0, 128], got {k}")
-        return secrets.randbits(k)
+        return int.from_bytes(urandom((k + 7) >> 3), "big") >> (-k & 7)
 
 
 class SeededEntropy:
@@ -227,13 +236,7 @@ def check_timestamp48(millis: int) -> Timestamp48:
 def generate_uuidv4(rng: RandomSource | None = None) -> Uid128:
     """Generate a version-4 UUID: 122 random bits plus fixed version/variant."""
     r = (rng or _DEFAULT_ENTROPY).next_bits(122)
-    return (
-        ((r >> 74) << 80)
-        | (0x4 << _VERSION_SHIFT)
-        | (((r >> 62) & 0xFFF) << 64)
-        | (0b10 << _VARIANT_SHIFT)
-        | (r & _LOW62)
-    )
+    return ((r >> 74) << 80) | (((r >> 62) & 0xFFF) << 64) | (r & _LOW62) | _V4_FIXED
 
 
 def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
@@ -243,20 +246,18 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
     variant bits are both plain randomness (74 random bits total), so two
     identifiers from the same millisecond carry no ordering guarantee.
     """
-    ts = check_timestamp48((clock or _DEFAULT_CLOCK).now())
+    ts = (clock or _DEFAULT_CLOCK).now()
+    if not 0 <= ts <= TIMESTAMP48_MAX:
+        check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
     r = (rng or _DEFAULT_ENTROPY).next_bits(74)
-    return (
-        (ts << 80)
-        | (0x7 << _VERSION_SHIFT)
-        | ((r >> 62) << 64)
-        | (0b10 << _VARIANT_SHIFT)
-        | (r & _LOW62)
-    )
+    return (ts << 80) | ((r >> 62) << 64) | (r & _LOW62) | _V7_FIXED
 
 
 def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
     """Generate a ULID value: 48-bit millisecond timestamp and 80 random bits."""
-    ts = check_timestamp48((clock or _DEFAULT_CLOCK).now())
+    ts = (clock or _DEFAULT_CLOCK).now()
+    if not 0 <= ts <= TIMESTAMP48_MAX:
+        check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
     return (ts << 80) | (rng or _DEFAULT_ENTROPY).next_bits(80)
 
 

@@ -33,7 +33,7 @@ from .core import (
     UnsupportedScheme,
     id_generator,
 )
-from .bench import bandwidth_mbps, serialized_size
+from .bench import _MAX_SLEEP_S, bandwidth_mbps, serialized_size
 
 __all__ = [
     "Event",
@@ -202,8 +202,8 @@ class SimConfig:
         for name in ("producers", "events_per_producer", "partitions", "consumers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.produce_interval < 0:
-            raise ValueError("produce_interval must be >= 0")
+        if not 0 <= self.produce_interval <= _MAX_SLEEP_S:
+            raise ValueError(f"produce_interval must be in [0, {_MAX_SLEEP_S:g}] s")
 
 
 @dataclass(frozen=True)

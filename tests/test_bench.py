@@ -58,6 +58,10 @@ def test_config_validation():
         BenchConfig(scheme=IdScheme.ULID, ids_per_sample=0)
     with pytest.raises(ValueError):
         BenchConfig(scheme=IdScheme.ULID, bytes_per_char=4)
+    # time.sleep cannot take 1e300 s; the config refuses it instead of crashing mid-run.
+    for interval in (-1, float("nan"), 1e300):
+        with pytest.raises(ValueError):
+            BenchConfig(scheme=IdScheme.ULID, sample_interval=interval)
 
 
 def _virtual_run(scheme, samples=10, ids=20, seed=1):

@@ -138,8 +138,10 @@ def test_model_requires_exactly_one_mode(capsys):
         ["sim", "--scheme", "ulid", "--produce-interval-ms", "-1"],
         ["sim", "--scheme", "ulid", "--produce-interval-ms", "inf"],
         ["sim", "--scheme", "ulid", "--produce-interval-ms", "nan"],
+        ["sim", "--scheme", "ulid", "--produce-interval-ms", "1e300"],
         ["bench", "--scheme", "ulid", "--interval-ms", "-5"],
         ["bench", "--scheme", "ulid", "--interval-ms", "nan"],
+        ["bench", "--scheme", "ulid", "--interval-ms", "1e300"],
         ["model", "--bits", "80", "--count", "5", "--digits", "0"],
         ["model", "--bits", "200", "--count", "5"],
         ["model", "--bits", "80", "--count", "-1"],

@@ -1,4 +1,5 @@
 import random
+import uuid
 
 import pytest
 from hypothesis import example, given, settings
@@ -113,6 +114,13 @@ def test_uuid_format_max():
     assert uuid_format(UID_MAX) == "ffffffff-ffff-ffff-ffff-ffffffffffff"
 
 
+def test_uuid_format_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        uuid_format(-1)
+    with pytest.raises(ValueError):
+        uuid_format(1 << 128)
+
+
 def test_uuid_parse_version_nibble():
     value = uuid_parse("00000000-0000-4000-8000-000000000000")
     assert (value >> 76) & 0xF == 4
@@ -209,6 +217,15 @@ TRAPS = ["_", " ", "\t", "+", "-", "U", "u", "x", "X", "\u0663", "\uff11"]
 ULID_CHARS = CROCKFORD_ALPHABET + CROCKFORD_ALPHABET.lower() + "IiLlOo"
 HEX_CHARS = "0123456789abcdefABCDEF-"
 uids = st.integers(0, UID_MAX)
+# ulid_encode splits a value at bits 30, 60 and 90; these sit on both sides of
+# each split, of the top pair at bit 120, and at the ends of the range.
+CHUNK_BOUNDARIES = [0, UID_MAX] + [v for k in (30, 60, 90, 120) for v in (2**k - 1, 2**k)]
+
+
+def at_chunk_boundaries(test):
+    for value in CHUNK_BOUNDARIES:
+        test = example(value)(test)
+    return test
 
 
 def text_of(length, alphabet):
@@ -258,11 +275,19 @@ def test_uuid_parse_matches_reference_with_one_trap(value, upper, data):
 
 @settings(deadline=None)
 @given(uids)
+@at_chunk_boundaries
 def test_codec_property_matches_oracle_and_round_trips(value):
     text = ulid_encode(value)
     assert text == reference_base32(value)
     assert ulid_decode(text) == value
     assert uuid_parse(uuid_format(value)) == value
+
+
+@settings(deadline=None)
+@given(uids)
+@at_chunk_boundaries
+def test_uuid_format_matches_stdlib(value):
+    assert uuid_format(value) == str(uuid.UUID(int=value))
 
 
 @settings(deadline=None)

@@ -1,10 +1,16 @@
+import os
+import random
 import re
+import subprocess
+import sys
 import uuid as stdlib_uuid
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uidlab import core
 from uidlab.core import (
     IdScheme,
     FixedClock,
@@ -257,6 +263,33 @@ def test_entropy_bit_count_contract():
         SeededEntropy(0).next_bits(129)
     with pytest.raises(ValueError):
         SystemEntropy().next_bits(-1)
+
+
+def test_system_entropy_is_one_fresh_urandom_call_per_draw(monkeypatch):
+    calls = []
+
+    def fixed_urandom(n):
+        calls.append(n)
+        return bytes((0xA5 + 29 * i) & 0xFF for i in range(n))
+
+    monkeypatch.setattr(core, "urandom", fixed_urandom)
+    monkeypatch.setattr(random, "_urandom", fixed_urandom)
+    reference = random.SystemRandom()
+    for k in range(129):
+        calls.clear()
+        drawn = SystemEntropy().next_bits(k)
+        # Exactly one call of ceil(k / 8) bytes: nothing is pooled between draws.
+        assert calls == [(k + 7) // 8]
+        assert drawn == reference.getrandbits(k)
+
+
+def test_import_loads_no_secrets_or_hashlib():
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, uidlab, uidlab.cli; print(sorted({'secrets', 'hashlib'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_generators_replay_under_one_seed():

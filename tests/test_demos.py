@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +31,17 @@ def test_package_exports_every_module_list():
     for module in modules:
         for name in module.__all__:
             assert getattr(uidlab, name) is getattr(module, name)
+
+
+def test_int_byte_conversions_name_their_byteorder():
+    # The byteorder default of int.from_bytes/to_bytes exists only from
+    # Python 3.11; pyproject.toml promises 3.10.
+    calls = []
+    for path in Path(uidlab.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in ("from_bytes", "to_bytes"):
+                    named = len(node.args) >= 2 or any(kw.arg == "byteorder" for kw in node.keywords)
+                    calls.append((f"{path.name}:{node.lineno}", named))
+    assert calls, "no from_bytes/to_bytes call found; the scan is looking in the wrong place"
+    assert [where for where, named in calls if not named] == []

@@ -465,8 +465,9 @@ def test_sim_config_validation():
         SimConfig(scheme=IdScheme.ULID, producers=0)
     with pytest.raises(ValueError):
         SimConfig(scheme=IdScheme.ULID, partitions=0)
-    with pytest.raises(ValueError):
-        SimConfig(scheme=IdScheme.ULID, produce_interval=-1)
+    for interval in (-1, float("nan"), 1e300):
+        with pytest.raises(ValueError):
+            SimConfig(scheme=IdScheme.ULID, produce_interval=interval)
 
 
 def test_single_producer_single_partition_run():
