@@ -238,11 +238,13 @@ def read_metrics_csv(source) -> list[MetricsSample]:
         if len(parts) != 4:
             raise MalformedMetrics(f"{source}:{line_no}: expected 4 columns")
         try:
-            samples.append(
-                MetricsSample(int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3]))
-            )
+            sample = MetricsSample(int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3]))
+            # Reports divide by both; NaN fails every comparison.
+            if not (0 < sample.duration_micros < math.inf and 0 < sample.bandwidth_mbps < math.inf):
+                raise ValueError("durationMicros and bandwidthMbps must be finite and > 0")
         except ValueError as exc:
             raise MalformedMetrics(f"{source}:{line_no}: {exc}") from None
+        samples.append(sample)
     if not samples:
         raise MalformedMetrics(f"{source}: no data rows")
     return samples

@@ -36,15 +36,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _interval_ms(text: str) -> float:
-    value = float(text)
-    if not 0 <= value <= bench_mod._MAX_SLEEP_S * 1000:
-        raise argparse.ArgumentTypeError(
-            f"must be a number in [0, {bench_mod._MAX_SLEEP_S * 1000:g}] ms, got {text}"
-        )
-    return value
-
-
 def _parse_uid_value(text: str) -> int:
     t = text.strip()
     if t.lower().startswith("0x"):
@@ -109,8 +100,6 @@ def _cmd_model(args, parser) -> int:
     if args.bits is None:
         parser.error("--bits is required with --count and --solve-p")
     if args.solve_p is not None:
-        if not 0 < args.solve_p < 1:
-            parser.error("--solve-p must be strictly between 0 and 1")
         try:
             n = collision.count_for_probability(args.bits, args.solve_p)
         except ValueError as exc:
@@ -127,14 +116,17 @@ def _cmd_model(args, parser) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    cfg = bench_mod.BenchConfig(
-        scheme=args.scheme,
-        sample_interval=args.interval_ms / 1000.0,
-        total_samples=args.samples,
-        ids_per_sample=args.ids_per_sample,
-        bytes_per_char=args.bytes_per_char,
-    )
+def _cmd_bench(args, parser) -> int:
+    try:
+        cfg = bench_mod.BenchConfig(
+            scheme=args.scheme,
+            sample_interval=args.interval_ms / 1000.0,
+            total_samples=args.samples,
+            ids_per_sample=args.ids_per_sample,
+            bytes_per_char=args.bytes_per_char,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     timer = bench_mod.SimulatedTimer() if args.virtual_time else None
     sleep = (lambda _s: None) if args.virtual_time else None
     try:
@@ -154,21 +146,28 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_sim(args) -> int:
-    cfg = sim_mod.SimConfig(
-        scheme=args.scheme,
-        producers=args.producers,
-        events_per_producer=args.events,
-        partitions=args.partitions,
-        consumers=args.consumers,
-        produce_interval=args.produce_interval_ms / 1000.0,
-        seed=args.seed,
-        deterministic=args.deterministic,
-        persist_path=args.persist,
-    )
-    report = sim_mod.run_simulation(cfg)
+def _cmd_sim(args, parser) -> int:
+    try:
+        cfg = sim_mod.SimConfig(
+            scheme=args.scheme,
+            producers=args.producers,
+            events_per_producer=args.events,
+            partitions=args.partitions,
+            consumers=args.consumers,
+            produce_interval=args.produce_interval_ms / 1000.0,
+            seed=args.seed,
+            deterministic=args.deterministic,
+            persist_path=args.persist,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        report = sim_mod.run_simulation(cfg)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(report.render_csv() if args.csv else report.render_text())
-    failed = report.duplicate_count > 0 or (
+    failed = not report.conserved or report.duplicate_count > 0 or (
         report.ordering_checked and report.ordering_violations > 0
     )
     return 1 if failed else 0
@@ -250,9 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure generation speed and bandwidth")
     p.add_argument("--scheme", type=_scheme_arg, required=True)
-    p.add_argument("--samples", type=_positive_int, default=2420)
-    p.add_argument("--interval-ms", type=_interval_ms, default=500.0)
-    p.add_argument("--ids-per-sample", type=_positive_int, default=1000)
+    p.add_argument("--samples", type=int, default=2420)
+    p.add_argument("--interval-ms", type=float, default=500.0)
+    p.add_argument("--ids-per-sample", type=int, default=1000)
     p.add_argument("--bytes-per-char", type=int, choices=(1, 2), default=2)
     p.add_argument("--out", default=None, help="default: metrics_<SCHEME>.csv")
     p.add_argument("--seed", type=int, default=None)
@@ -260,11 +259,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="producer/broker/consumer pipeline run")
     p.add_argument("--scheme", type=_scheme_arg, required=True)
-    p.add_argument("--producers", type=_positive_int, default=4)
-    p.add_argument("--events", type=_positive_int, default=1000, help="events per producer")
-    p.add_argument("--partitions", type=_positive_int, default=4)
-    p.add_argument("--consumers", type=_positive_int, default=4)
-    p.add_argument("--produce-interval-ms", type=_interval_ms, default=0.0)
+    p.add_argument("--producers", type=int, default=4)
+    p.add_argument("--events", type=int, default=1000, help="events per producer")
+    p.add_argument("--partitions", type=int, default=4)
+    p.add_argument("--consumers", type=int, default=4)
+    p.add_argument("--produce-interval-ms", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true", help="single-threaded virtual-time replay")
     p.add_argument("--persist", default=None, help="append stored ids to this file, one per line")
@@ -291,9 +290,9 @@ def main(argv=None) -> int:
     if args.command == "model":
         return _cmd_model(args, parser)
     if args.command == "bench":
-        return _cmd_bench(args)
+        return _cmd_bench(args, parser)
     if args.command == "sim":
-        return _cmd_sim(args)
+        return _cmd_sim(args, parser)
     return _cmd_report(args)
 
 

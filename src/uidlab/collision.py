@@ -229,7 +229,8 @@ def count_for_probability(effective_bits: int, p) -> float:
     if not MIN_BITS <= effective_bits <= MAX_BITS:
         raise ValueError(f"effective_bits must be in [{MIN_BITS}, {MAX_BITS}]")
     p_dec = p if isinstance(p, Decimal) else Decimal(str(p))
-    if not 0 < p_dec < 1:
+    # Decimal raises InvalidOperation when NaN is compared.
+    if p_dec.is_nan() or not 0 < p_dec < 1:
         raise ValueError(f"target probability must be in (0, 1), got {p}")
     with localcontext() as ctx:
         ctx.prec = _PRECISION

@@ -342,16 +342,22 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     """Run the pipeline to completion and return exact totals.
 
     Both modes share the topic, sink, producers and consumer steps; only the
-    scheduler and the clock differ. Re-raises the first exception of any
-    producer or consumer, and closes the sink either way.
+    scheduler and the clock differ. A scheduler returns once the topic is
+    closed and no consumer runs; the calling thread then drains the tail,
+    one round at a time. Re-raises the first exception of any producer or
+    consumer, and closes the sink either way.
     """
     topic = Topic("events", cfg.partitions)
     sink = Sink(cfg.persist_path)
     try:
         clock = FixedClock(_VIRTUAL_EPOCH_MS) if cfg.deterministic else SystemClock()
         producers = [_Producer(i, cfg, clock) for i in range(cfg.producers)]
-        # Consumer i owns the partitions congruent to i modulo the consumer count.
-        assignments = [range(i, cfg.partitions, cfg.consumers) for i in range(cfg.consumers)]
+        # Consumer i owns the partitions congruent to i modulo the consumer
+        # count; a consumer past the last partition would own none.
+        assignments = [
+            range(i, cfg.partitions, cfg.consumers)
+            for i in range(min(cfg.consumers, cfg.partitions))
+        ]
 
         consume, store = topic.consume, sink.store
 
@@ -366,22 +372,23 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             return moved
 
         schedule = _schedule_rounds if cfg.deterministic else _schedule_threads
-        consumed, elapsed = schedule(cfg, topic, producers, assignments, drain, clock)
-        return _build_report(
-            cfg, topic, sink, consumed, sum(p.overflow_waits for p in producers), elapsed
-        )
+        start = time.perf_counter()
+        schedule(cfg, topic, producers, assignments, drain, clock)
+        rounds = cfg.events_per_producer
+        while sum(drain(partitions) for partitions in assignments):
+            rounds += 1
+        # Virtual time counts one millisecond per round.
+        elapsed = rounds / 1000 if cfg.deterministic else time.perf_counter() - start
+        return _build_report(cfg, topic, sink, producers, elapsed)
     finally:
         sink.close()
 
 
-def _schedule_threads(cfg, topic, producers, assignments, drain, clock):
+def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> None:
     """One thread per producer and consumer against real time.
 
-    A consumer stops once a drain that began after ``close()`` moves nothing:
-    ``close()`` sets the flag under the lock every append holds, so when the
-    flag reads true every log is final. Returns (events consumed, wall seconds).
+    Consumers poll until the topic closes; what they leave is the tail.
     """
-    consumed = [0] * len(assignments)
     errors: list[Exception] = []
 
     def produce(producer: _Producer):
@@ -390,14 +397,9 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock):
             if cfg.produce_interval > 0:
                 time.sleep(cfg.produce_interval)
 
-    def consume(idx: int, partitions):
-        while True:
-            closed = topic._closed
-            moved = drain(partitions)
-            consumed[idx] += moved
-            if not moved:
-                if closed:
-                    break
+    def consume(partitions):
+        while not topic._closed:
+            if not drain(partitions):
                 time.sleep(0.0002)
 
     def worker(step, *args):
@@ -411,10 +413,9 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock):
         for p in producers
     ]
     consumer_threads = [
-        threading.Thread(target=worker, args=(consume, i, parts), name=f"consumer-{i}")
+        threading.Thread(target=worker, args=(consume, parts), name=f"consumer-{i}")
         for i, parts in enumerate(assignments)
     ]
-    start = time.perf_counter()
     for t in consumer_threads + producer_threads:
         t.start()
     for t in producer_threads:
@@ -422,41 +423,33 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock):
     topic.close()
     for t in consumer_threads:
         t.join()
-    elapsed = time.perf_counter() - start
     if errors:
         raise errors[0]
-    return sum(consumed), elapsed
 
 
-def _schedule_rounds(cfg, topic, producers, assignments, drain, clock):
+def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> None:
     """Round-robin on one thread against the virtual clock.
 
     Each round every producer publishes one event, every consumer drains,
-    and the clock ticks one millisecond. Returns (events consumed, virtual
-    seconds at one millisecond per round).
+    and the clock ticks one millisecond.
     """
     # Bound once per run: a tracer or a patch installed before the run still applies.
     publish = topic.publish
     makers = [producer.make_event for producer in producers]
-    consumed = 0
     for seq in range(cfg.events_per_producer):
         for make_event in makers:
             publish(make_event(seq))
         for partitions in assignments:
-            consumed += drain(partitions)
+            drain(partitions)
         clock.advance(1)
     topic.close()
-    rounds = cfg.events_per_producer
-    while moved := sum(drain(partitions) for partitions in assignments):
-        consumed += moved
-        rounds += 1
-    return consumed, rounds / 1000.0
 
 
-def _build_report(cfg, topic, sink, consumed_total, overflow_waits, elapsed) -> SimReport:
-    events_total = sum(topic.end_offset(p) for p in range(topic.partitions))
+def _build_report(cfg, topic, sink, producers, elapsed) -> SimReport:
+    partitions = range(topic.partitions)
+    events_total = sum(topic.end_offset(p) for p in partitions)
     if cfg.scheme.time_ordered:
-        logs = [topic.partition_log(p) for p in range(topic.partitions)]
+        logs = [topic.partition_log(p) for p in partitions]
         ordering = verify_ordering(logs, cfg.scheme)
         ordering_checked, ordering_violations = True, len(ordering.violations)
     else:
@@ -468,13 +461,13 @@ def _build_report(cfg, topic, sink, consumed_total, overflow_waits, elapsed) -> 
         producers=cfg.producers,
         partitions=cfg.partitions,
         events_total=events_total,
-        consumed_total=consumed_total,
+        consumed_total=sum(topic.committed(p) for p in partitions),
         stored_total=sink.insertions,
         unique_ids=len(sink.stored),
         duplicate_count=sink.duplicate_count,
         ordering_checked=ordering_checked,
         ordering_violations=ordering_violations,
-        overflow_waits=overflow_waits,
+        overflow_waits=sum(producer.overflow_waits for producer in producers),
         elapsed_seconds=elapsed,
         effective_mbps=bandwidth_mbps(payload_bits, elapsed),
     )

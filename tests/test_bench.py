@@ -148,6 +148,19 @@ def test_read_metrics_csv_rejects_bad_row(tmp_path):
         read_metrics_csv(path)
 
 
+@pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+@pytest.mark.parametrize("column", ["durationMicros", "bandwidthMbps"])
+def test_read_metrics_csv_rejects_values_report_cannot_divide_by(tmp_path, column, value):
+    from uidlab.bench import MalformedMetrics
+
+    row = ["0", "2.5", "416", "166.4"]
+    row[CSV_HEADER.split(",").index(column)] = value
+    path = tmp_path / "m.csv"
+    path.write_text(CSV_HEADER + "\n" + ",".join(row) + "\n")
+    with pytest.raises(MalformedMetrics, match="finite and > 0"):
+        read_metrics_csv(path)
+
+
 def test_summarize_constant_samples():
     samples = [MetricsSample(i, 5.0, 416, 10.0) for i in range(9)]
     summary = summarize(samples)

@@ -1,6 +1,7 @@
 import pytest
 
 from uidlab import cli
+from uidlab import sim as sim_mod
 from uidlab.bench import CSV_HEADER
 
 
@@ -146,6 +147,9 @@ def test_model_requires_exactly_one_mode(capsys):
         ["model", "--bits", "200", "--count", "5"],
         ["model", "--bits", "80", "--count", "-1"],
         ["model", "--solve-p", "0.5", "--bits", "0"],
+        ["model", "--solve-p", "nan", "--bits", "80"],
+        ["sim", "--scheme", "ulid", "--events", "0"],
+        ["bench", "--scheme", "ulid", "--samples", "0"],
     ],
     ids=" ".join,
 )
@@ -228,6 +232,27 @@ def test_sim_uuidv4_omits_ordering(capsys):
     assert "ordering" not in out
 
 
+def test_sim_that_loses_events_exits_nonzero(capsys, monkeypatch):
+    store = sim_mod.Sink.store
+    monkeypatch.setattr(sim_mod.Sink, "store", lambda sink, events: store(sink, events[1:]))
+    status, out, _ = run_cli(
+        capsys, "sim", "--scheme", "ulid", "--deterministic", "--events", "20", "--producers", "2"
+    )
+    assert "events published    40" in out
+    assert "events stored       40" not in out
+    assert status == 1
+
+
+def test_sim_unwritable_persist_path_fails_without_traceback(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    status, _, err = run_cli(
+        capsys, "sim", "--scheme", "ulid", "--deterministic", "--events", "2", "--persist", str(target)
+    )
+    assert status == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_sim_csv_output(capsys):
     status, out, _ = run_cli(
         capsys,
@@ -288,3 +313,14 @@ def test_report_malformed_csv(capsys, tmp_path):
     status, _, err = run_cli(capsys, "report", "--in", str(path))
     assert status == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("duration", ["0", "nan", "-1"])
+def test_report_refuses_durations_it_cannot_divide_by(capsys, tmp_path, duration):
+    path = tmp_path / "metrics_ULID.csv"
+    _write_metrics(path, duration)
+    status, out, err = run_cli(capsys, "report", "--in", str(path), str(path))
+    assert status == 1
+    assert "error" in err
+    assert "Traceback" not in err
+    assert out == ""

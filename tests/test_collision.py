@@ -154,6 +154,12 @@ def test_count_for_probability_validation():
         count_for_probability(0, 0.5)
 
 
+@pytest.mark.parametrize("p", [float("nan"), Decimal("NaN"), Decimal("sNaN")], ids=str)
+def test_count_for_probability_rejects_nan(p):
+    with pytest.raises(ValueError, match="target probability"):
+        count_for_probability(80, p)
+
+
 # --- relative risk -----------------------------------------------------------
 
 def test_relative_risk_ulid_vs_uuidv7():

@@ -45,3 +45,18 @@ def test_int_byte_conversions_name_their_byteorder():
                     calls.append((f"{path.name}:{node.lineno}", named))
     assert calls, "no from_bytes/to_bytes call found; the scan is looking in the wrong place"
     assert [where for where, named in calls if not named] == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    imported = []
+    for path in Path(uidlab.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported += [(f"{path.name}:{node.lineno}", name.partition(".")[0]) for name in names]
+    assert {"threading", "zlib"} <= {name for _, name in imported}, "the scan found too little"
+    assert [(where, name) for where, name in imported if name not in sys.stdlib_module_names] == []

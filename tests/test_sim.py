@@ -300,9 +300,10 @@ def test_consumers_sharing_partitions_store_every_event_once():
 
 
 def test_consumer_stops_only_after_a_drain_that_began_after_close(monkeypatch):
-    # The consumer's first poll sees the topic still open, comes back empty
-    # only once close() has returned, and the producers have published
-    # everything by then: the consumer must drain again before it stops.
+    # The consumer's first poll sees the topic still open and comes back
+    # empty only once close() has returned, with everything published by
+    # then. The consumer stops at close; the tail drain that the calling
+    # thread runs after it picks up what the consumer left.
     consume = Topic.consume
     first = []
 
@@ -323,6 +324,62 @@ def test_consumer_stops_only_after_a_drain_that_began_after_close(monkeypatch):
     report = run_simulation(cfg)
     assert report.conserved
     assert report.stored_total == 100
+
+
+def test_consumers_past_the_last_partition_start_no_thread(monkeypatch):
+    started = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(sim.threading, "Thread", RecordingThread)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=1, consumers=4, seed=2
+    )
+    report = run_simulation(cfg)
+    assert [name for name in started if name.startswith("consumer-")] == ["consumer-0"]
+    assert report.conserved
+    assert report.stored_total == 400
+
+
+def test_consumers_past_the_last_partition_change_nothing(tmp_path):
+    def run(consumers):
+        path = tmp_path / f"stored-{consumers}.txt"
+        cfg = SimConfig(
+            scheme=IdScheme.ULID,
+            producers=8,
+            events_per_producer=300,
+            partitions=4,
+            consumers=consumers,
+            seed=19,
+            deterministic=True,
+            persist_path=str(path),
+        )
+        return run_simulation(cfg), path.read_bytes()
+
+    assert run(8) == run(4)
+
+
+def test_consumed_total_counts_committed_offsets_not_returned_batches(monkeypatch):
+    # A consume that advances the offset but loses an event on the way to the
+    # sink: the events were consumed, so the report must not call them stored.
+    consume = Topic.consume
+    monkeypatch.setattr(Topic, "consume", lambda *args: consume(*args)[1:])
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=2,
+        events_per_producer=50,
+        partitions=2,
+        consumers=1,
+        seed=7,
+        deterministic=True,
+    )
+    report = run_simulation(cfg)
+    assert report.consumed_total == report.events_total == 100
+    assert report.stored_total < 100
+    assert not report.conserved
 
 
 # Entry points an outside tracer wraps by attribute, each on the module or
