@@ -228,8 +228,11 @@ def write_metrics_csv(samples, destination) -> None:
 
 def read_metrics_csv(source) -> list[MetricsSample]:
     """Parse a metrics CSV written by :func:`write_metrics_csv`."""
-    with open(source, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(source, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedMetrics(f"{source}: byte {exc.start} is not ASCII") from None
     if not lines or lines[0] != CSV_HEADER:
         raise MalformedMetrics(f"{source}: expected header {CSV_HEADER!r}")
     samples = []

@@ -21,6 +21,10 @@ from .core import (
 
 __all__ = ["main"]
 
+# A run that fails with one of these exits 1 with an "error:" line; any other
+# exception is a crash and keeps its traceback.
+_RUN_ERRORS = (OSError, ValueError, RandomOverflow, bench_mod.TimerResolutionTooCoarse)
+
 
 def _scheme_arg(text: str) -> IdScheme:
     try:
@@ -49,31 +53,33 @@ def _make_rng(seed):
     return SeededEntropy(seed) if seed is not None else SystemEntropy()
 
 
-def _cmd_gen(args) -> int:
+def _usage(parser, make, *args, **kwargs):
+    """Return ``make(*args, **kwargs)``; a ValueError it raises is a usage error (exit 2)."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _cmd_gen(args, parser) -> int:
+    if args.monotonic and args.scheme is not IdScheme.ULID:
+        parser.error("--monotonic requires --scheme ulid")
     state = MonotonicState() if args.monotonic else None
     next_value = id_generator(args.scheme, rng=_make_rng(args.seed), state=state)
     encode = codec.encoder_for(args.scheme)
-    try:
-        for _ in range(args.count):
-            print(encode(next_value()))
-    except RandomOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for _ in range(args.count):
+        print(encode(next_value()))
     return 0
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args, parser) -> int:
     encode = codec.ulid_encode if args.to == "ulid" else codec.uuid_format
-    try:
-        for text in args.values:
-            print(encode(_parse_uid_value(text)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for text in args.values:
+        print(encode(_parse_uid_value(text)))
     return 0
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args, parser) -> int:
     status = 0
     for text in args.values:
         try:
@@ -85,9 +91,6 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_model(args, parser) -> int:
-    modes = sum([args.table, args.solve_p is not None, args.count is not None])
-    if modes != 1:
-        parser.error("choose exactly one mode: --table, --bits B --count N, or --solve-p P --bits B")
     if args.table:
         table = collision.risk_table()
         if args.csv:
@@ -100,44 +103,31 @@ def _cmd_model(args, parser) -> int:
     if args.bits is None:
         parser.error("--bits is required with --count and --solve-p")
     if args.solve_p is not None:
-        try:
-            n = collision.count_for_probability(args.bits, args.solve_p)
-        except ValueError as exc:
-            parser.error(str(exc))
+        n = _usage(parser, collision.count_for_probability, args.bits, args.solve_p)
         print(f"{n:.4e}")
         if args.solve_p == 0.5 and args.bits in collision.FIFTY_PERCENT_THRESHOLD_NOTES:
             print(f"note: {collision.FIFTY_PERCENT_THRESHOLD_NOTES[args.bits]}")
         return 0
-    try:
-        query = collision.CollisionQuery(args.bits, args.count)
-    except ValueError as exc:
-        parser.error(str(exc))
-    print(collision.collision_prob(query).sci(args.digits))
+    query = _usage(parser, collision.CollisionQuery, args.bits, args.count)
+    print(_usage(parser, collision.collision_prob(query).sci, args.digits))
     return 0
 
 
 def _cmd_bench(args, parser) -> int:
-    try:
-        cfg = bench_mod.BenchConfig(
-            scheme=args.scheme,
-            sample_interval=args.interval_ms / 1000.0,
-            total_samples=args.samples,
-            ids_per_sample=args.ids_per_sample,
-            bytes_per_char=args.bytes_per_char,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = _usage(
+        parser,
+        bench_mod.BenchConfig,
+        scheme=args.scheme,
+        sample_interval=args.interval_ms / 1000.0,
+        total_samples=args.samples,
+        ids_per_sample=args.ids_per_sample,
+        bytes_per_char=args.bytes_per_char,
+    )
     timer = bench_mod.SimulatedTimer() if args.virtual_time else None
     sleep = (lambda _s: None) if args.virtual_time else None
-    try:
-        samples = bench_mod.run_generation_bench(
-            cfg, rng=_make_rng(args.seed), timer_ns=timer, sleep=sleep
-        )
-        out = args.out or bench_mod.metrics_filename(args.scheme)
-        bench_mod.write_metrics_csv(samples, out)
-    except (bench_mod.TimerResolutionTooCoarse, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    samples = bench_mod.run_generation_bench(cfg, rng=_make_rng(args.seed), timer_ns=timer, sleep=sleep)
+    out = args.out or bench_mod.metrics_filename(args.scheme)
+    bench_mod.write_metrics_csv(samples, out)
     summary = bench_mod.summarize(samples)
     d, b = summary.duration_micros, summary.bandwidth_mbps
     print(f"wrote {len(samples)} samples to {out}")
@@ -147,25 +137,20 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_sim(args, parser) -> int:
-    try:
-        cfg = sim_mod.SimConfig(
-            scheme=args.scheme,
-            producers=args.producers,
-            events_per_producer=args.events,
-            partitions=args.partitions,
-            consumers=args.consumers,
-            produce_interval=args.produce_interval_ms / 1000.0,
-            seed=args.seed,
-            deterministic=args.deterministic,
-            persist_path=args.persist,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        report = sim_mod.run_simulation(cfg)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _usage(
+        parser,
+        sim_mod.SimConfig,
+        scheme=args.scheme,
+        producers=args.producers,
+        events_per_producer=args.events,
+        partitions=args.partitions,
+        consumers=args.consumers,
+        produce_interval=args.produce_interval_ms / 1000.0,
+        seed=args.seed,
+        deterministic=args.deterministic,
+        persist_path=args.persist,
+    )
+    report = sim_mod.run_simulation(cfg)
     sys.stdout.write(report.render_csv() if args.csv else report.render_text())
     failed = not report.conserved or report.duplicate_count > 0 or (
         report.ordering_checked and report.ordering_violations > 0
@@ -183,19 +168,14 @@ def _infer_scheme(path: str) -> IdScheme | None:
     return None
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, parser) -> int:
     rows = []
-    try:
-        for path in args.inputs:
-            samples = bench_mod.read_metrics_csv(path)
-            summary = bench_mod.summarize(samples)
-            scheme = _infer_scheme(path)
-            size = bench_mod.serialized_size(scheme, args.bytes_per_char) if scheme else None
-            label = scheme.cli_name if scheme else Path(path).stem
-            rows.append((label, summary.duration_micros.mean, summary.bandwidth_mbps.mean, size))
-    except (bench_mod.MalformedMetrics, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for path in args.inputs:
+        summary = bench_mod.summarize(bench_mod.read_metrics_csv(path))
+        scheme = _infer_scheme(path)
+        size = bench_mod.serialized_size(scheme, args.bytes_per_char) if scheme else None
+        label = scheme.cli_name if scheme else Path(path).stem
+        rows.append((label, summary.duration_micros.mean, summary.bandwidth_mbps.mean, size))
 
     print(f"{'scheme':<12}{'mean durationMicros':>22}{'mean bandwidthMbps':>22}{'bytes/id':>10}")
     for label, dur, bw, size in rows:
@@ -227,27 +207,33 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate identifiers, one per line")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--scheme", type=_scheme_arg, required=True, help="ulid | uuidv4 | uuidv7")
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None, help="deterministic output for a fixed seed")
     p.add_argument("--monotonic", action="store_true", help="ULID only: strictly increasing within one process")
 
     p = sub.add_parser("encode", help="encode 128-bit values to canonical strings")
+    p.set_defaults(run=_cmd_encode)
     p.add_argument("--to", choices=("ulid", "uuid"), required=True)
     p.add_argument("values", nargs="+", help="decimal, 0x-prefixed, or 32-digit hex values")
 
     p = sub.add_parser("decode", help="decode ULID/UUID strings to 32-digit hex")
+    p.set_defaults(run=_cmd_decode)
     p.add_argument("values", nargs="+")
 
     p = sub.add_parser("model", help="birthday-bound collision probabilities")
-    p.add_argument("--table", action="store_true", help="risk table at 1e3/1e6/1e9 ids per window")
+    p.set_defaults(run=_cmd_model)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--table", action="store_true", help="risk table at 1e3/1e6/1e9 ids per window")
     p.add_argument("--csv", action="store_true", help="CSV output for --table")
     p.add_argument("--bits", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--solve-p", type=float, default=None, dest="solve_p")
+    mode.add_argument("--count", type=int, default=None)
+    mode.add_argument("--solve-p", type=float, default=None, dest="solve_p")
     p.add_argument("--digits", type=_positive_int, default=2, help="significant digits for single values")
 
     p = sub.add_parser("bench", help="measure generation speed and bandwidth")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--scheme", type=_scheme_arg, required=True)
     p.add_argument("--samples", type=int, default=2420)
     p.add_argument("--interval-ms", type=float, default=500.0)
@@ -258,6 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--virtual-time", action="store_true", help="deterministic timer, no sleeping")
 
     p = sub.add_parser("sim", help="producer/broker/consumer pipeline run")
+    p.set_defaults(run=_cmd_sim)
     p.add_argument("--scheme", type=_scheme_arg, required=True)
     p.add_argument("--producers", type=int, default=4)
     p.add_argument("--events", type=int, default=1000, help="events per producer")
@@ -270,6 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("report", help="combine metrics CSVs into a comparison table")
+    p.set_defaults(run=_cmd_report)
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
     p.add_argument("--bytes-per-char", type=int, choices=(1, 2), default=2)
 
@@ -279,21 +267,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        if args.monotonic and args.scheme is not IdScheme.ULID:
-            parser.error("--monotonic requires --scheme ulid")
-        return _cmd_gen(args)
-    if args.command == "encode":
-        return _cmd_encode(args)
-    if args.command == "decode":
-        return _cmd_decode(args)
-    if args.command == "model":
-        return _cmd_model(args, parser)
-    if args.command == "bench":
-        return _cmd_bench(args, parser)
-    if args.command == "sim":
-        return _cmd_sim(args, parser)
-    return _cmd_report(args)
+    try:
+        return args.run(args, parser)
+    except _RUN_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ correct digits instead of drowning in float cancellation.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
@@ -101,7 +100,7 @@ class CollisionQuery:
             raise ValueError("count must be non-negative")
 
 
-@functools.total_ordering
+@dataclass(frozen=True, order=True)
 class Probability:
     """A probability in [0, 1] held as its natural logarithm.
 
@@ -110,10 +109,10 @@ class Probability:
     cannot overflow for any count up to 2^64 and beyond.
     """
 
-    __slots__ = ("ln_value",)
+    ln_value: Decimal
 
-    def __init__(self, ln_value: Decimal):
-        ln_value = Decimal(ln_value)
+    def __post_init__(self):
+        ln_value = Decimal(self.ln_value)
         if ln_value > 0:
             raise ValueError(f"log-probability must be <= 0, got {ln_value}")
         object.__setattr__(self, "ln_value", ln_value)
@@ -137,24 +136,13 @@ class Probability:
         return Probability(_ln_one_minus_exp(self.ln_value))
 
     def sci(self, digits: int = 2) -> str:
-        """Scientific-notation rendering with the given significant digits."""
+        """Scientific-notation rendering with 1 to 60 significant digits."""
+        if not 1 <= digits <= _PRECISION:
+            raise ValueError(f"digits must be in [1, {_PRECISION}], got {digits}")
         return format(self.value, f".{digits - 1}e")
 
     def __float__(self) -> float:
         return float(self.value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Probability):
-            return NotImplemented
-        return self.ln_value == other.ln_value
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Probability):
-            return NotImplemented
-        return self.ln_value < other.ln_value
-
-    def __hash__(self):
-        return hash(self.ln_value)
 
     def __repr__(self) -> str:
         return f"Probability({self.sci(7)})"

@@ -117,6 +117,8 @@ class Topic:
 
     def consume(self, partition: int, max_events: int) -> list[Event]:
         """Next batch of the partition, advancing its offset; never re-delivers."""
+        if max_events < 1:
+            raise ValueError(f"max_events must be >= 1, got {max_events}")
         if not 0 <= partition < self.partitions:
             self._check_partition(partition)
         log, offsets = self._logs[partition], self._offsets

@@ -148,6 +148,15 @@ def test_read_metrics_csv_rejects_bad_row(tmp_path):
         read_metrics_csv(path)
 
 
+def test_read_metrics_csv_rejects_non_ascii_naming_the_file(tmp_path):
+    from uidlab.bench import MalformedMetrics
+
+    path = tmp_path / "m.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"\n0,2.5,416,166.\xe9\n")
+    with pytest.raises(MalformedMetrics, match="m.csv.*not ASCII"):
+        read_metrics_csv(path)
+
+
 @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
 @pytest.mark.parametrize("column", ["durationMicros", "bandwidthMbps"])
 def test_read_metrics_csv_rejects_values_report_cannot_divide_by(tmp_path, column, value):

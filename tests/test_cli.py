@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from uidlab import cli
@@ -47,6 +52,27 @@ def test_gen_monotonic_sorted_output(capsys):
     assert status == 0
     assert lines == sorted(lines)
     assert len(set(lines)) == 50
+
+
+def test_gen_into_closed_pipe_exits_one_without_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uidlab.cli", "gen", "--scheme", "uuidv4", "--count", "100000"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert len(proc.stdout.readline()) == 37
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_gen_unknown_scheme_is_usage_error(capsys):
@@ -127,6 +153,9 @@ def test_model_requires_exactly_one_mode(capsys):
         ["model", "--table", "--count", "5", "--bits", "4"],
         ["model", "--count", "5"],
         ["model", "--solve-p", "1.5", "--bits", "4"],
+        ["model", "--bits", "80"],
+        ["model", "--table", "--solve-p", "0.5", "--bits", "80"],
+        ["model", "--count", "5", "--solve-p", "0.5", "--bits", "80"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -144,6 +173,7 @@ def test_model_requires_exactly_one_mode(capsys):
         ["bench", "--scheme", "ulid", "--interval-ms", "nan"],
         ["bench", "--scheme", "ulid", "--interval-ms", "1e300"],
         ["model", "--bits", "80", "--count", "5", "--digits", "0"],
+        ["model", "--bits", "80", "--count", "5", "--digits", "61"],
         ["model", "--bits", "200", "--count", "5"],
         ["model", "--bits", "80", "--count", "-1"],
         ["model", "--solve-p", "0.5", "--bits", "0"],
@@ -253,6 +283,15 @@ def test_sim_unwritable_persist_path_fails_without_traceback(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_sim_crash_outside_run_errors_keeps_its_traceback(monkeypatch):
+    def crash(cfg):
+        raise sim_mod.TopicClosed("worker crashed")
+
+    monkeypatch.setattr(sim_mod, "run_simulation", crash)
+    with pytest.raises(sim_mod.TopicClosed):
+        cli.main(["sim", "--scheme", "ulid", "--deterministic"])
+
+
 def test_sim_csv_output(capsys):
     status, out, _ = run_cli(
         capsys,
@@ -313,6 +352,17 @@ def test_report_malformed_csv(capsys, tmp_path):
     status, _, err = run_cli(capsys, "report", "--in", str(path))
     assert status == 1
     assert "error" in err
+
+
+def test_report_non_ascii_csv_fails_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "metrics_ULID.csv"
+    path.write_bytes(b"\xff\n")
+    status, out, err = run_cli(capsys, "report", "--in", str(path))
+    assert status == 1
+    assert err.startswith("error: ")
+    assert str(path) in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("duration", ["0", "nan", "-1"])

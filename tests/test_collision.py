@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -207,6 +208,23 @@ def test_probability_sci_formatting():
     p = collision_prob(CollisionQuery(122, 1000))
     assert p.sci(2) == "9.4e-32"
     assert p.sci(4) == "9.395e-32"
+
+
+@pytest.mark.parametrize("digits", [0, 61])
+def test_probability_sci_stops_at_model_precision(digits):
+    p = collision_prob(CollisionQuery(122, 1000))
+    assert len(p.sci(60)) == len("9.") + 59 + len("e-32")
+    with pytest.raises(ValueError, match="digits"):
+        p.sci(digits)
+
+
+def test_probability_is_immutable():
+    p = collision_prob(CollisionQuery(122, 1000))
+    held = {p}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.ln_value = Decimal(3)
+    assert p.sci(2) == "9.4e-32"
+    assert p in held
 
 
 def test_log_representation_handles_huge_counts():

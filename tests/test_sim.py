@@ -85,6 +85,20 @@ def test_consume_empty_partition():
     assert topic.committed(1) == 0
 
 
+@pytest.mark.parametrize("published", [0, 3], ids=["empty", "published"])
+@pytest.mark.parametrize("max_events", [0, -2])
+def test_consume_rejects_non_positive_batch_without_moving_offset(max_events, published):
+    topic = Topic("t", 1)
+    for i in range(published):
+        topic.publish(make_event(f"{i:026d}", seq=i))
+    assert len(topic.consume(0, 3)) == published
+    with pytest.raises(ValueError, match="max_events"):
+        topic.consume(0, max_events)
+    assert topic.committed(0) == published
+    topic.publish(make_event("9" * 26, seq=99))
+    assert [e.seq for e in topic.consume(0, 10)] == [99]
+
+
 def test_unknown_partition():
     topic = Topic("t", 2)
     with pytest.raises(UnknownPartition):
