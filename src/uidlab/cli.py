@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -160,12 +161,10 @@ def _cmd_sim(args, parser) -> int:
 
 def _infer_scheme(path: str) -> IdScheme | None:
     stem = Path(path).stem
-    if stem.startswith("metrics_"):
-        try:
-            return IdScheme.parse(stem[len("metrics_"):])
-        except ValueError:
-            return None
-    return None
+    try:
+        return IdScheme.parse(stem[len("metrics_"):]) if stem.startswith("metrics_") else None
+    except ValueError:
+        return None
 
 
 def _cmd_report(args, parser) -> int:
@@ -270,6 +269,8 @@ def main(argv=None) -> int:
     try:
         return args.run(args, parser)
     except _RUN_ERRORS as exc:
+        if isinstance(exc, BrokenPipeError):  # the exit-time flush must not hit the closed pipe again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,8 @@
 import os
+import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -54,25 +56,63 @@ def test_gen_monotonic_sorted_output(capsys):
     assert len(set(lines)) == 50
 
 
-def test_gen_into_closed_pipe_exits_one_without_traceback():
+def _gen_into_pipe(close_pipe):
+    """Run ``gen --scheme uuidv4 --count 100000`` with stdout on a pipe that
+    ``close_pipe(stdout)`` reads from and closes; return the exit status and stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as from a plain shell
     proc = subprocess.Popen(
         [sys.executable, "-m", "uidlab.cli", "gen", "--scheme", "uuidv4", "--count", "100000"],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        text=True,
     )
     try:
-        assert len(proc.stdout.readline()) == 37
-        proc.stdout.close()
+        close_pipe(proc.stdout)
         _, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
-    assert proc.returncode == 1
+    return proc.returncode, err.decode()
+
+
+def test_gen_into_closed_pipe_exits_one_without_traceback():
+    def read_one_line(stdout):
+        assert len(stdout.readline()) == 37
+        stdout.close()
+
+    status, err = _gen_into_pipe(read_one_line)
+    assert status == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+def test_gen_into_pipe_closed_mid_write_exits_one_without_traceback():
+    # Closing the pipe while the writer is blocked part-way through a write
+    # leaves bytes in its stdout buffer. Unless main discards them, the
+    # interpreter's flush at exit fails on them again: "Exception ignored"
+    # on stderr and exit status 120.
+    fcntl = pytest.importorskip("fcntl")
+    termios = pytest.importorskip("termios")
+
+    def fill_then_close(stdout):
+        fd = stdout.fileno()
+        queued, still, deadline = -1, 0, time.monotonic() + 30
+        while still < 3 and time.monotonic() < deadline:  # until the pipe is full
+            time.sleep(0.05)
+            now = struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]
+            still = still + 1 if now == queued and now > 0 else 0
+            queued = now
+        os.read(fd, 5000)
+        time.sleep(0.2)
+        stdout.close()
+
+    status, err = _gen_into_pipe(fill_then_close)
+    assert status == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_gen_unknown_scheme_is_usage_error(capsys):
