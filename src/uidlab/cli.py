@@ -24,7 +24,9 @@ __all__ = ["main"]
 
 # A run that fails with one of these exits 1 with an "error:" line; any other
 # exception is a crash and keeps its traceback.
-_RUN_ERRORS = (OSError, ValueError, RandomOverflow, bench_mod.TimerResolutionTooCoarse)
+_RUN_ERRORS = (
+    OSError, ValueError, RandomOverflow, bench_mod.TimerResolutionTooCoarse, sim_mod.EventCountMismatch
+)
 
 
 def _scheme_arg(text: str) -> IdScheme:

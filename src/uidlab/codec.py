@@ -59,37 +59,43 @@ class MisplacedHyphen(CodecError):
 # Decoding accepts lowercase plus the Crockford aliases; 'U' stays invalid.
 _ULID_DIGIT = {c: i for i, c in enumerate(CROCKFORD_ALPHABET)}
 _ULID_DIGIT.update({c.lower(): i for i, c in enumerate(CROCKFORD_ALPHABET)})
-for _alias, _canonical in (("O", "0"), ("o", "0"), ("I", "1"), ("i", "1"), ("L", "1"), ("l", "1")):
-    _ULID_DIGIT[_alias] = _ULID_DIGIT[_canonical]
+_ULID_DIGIT.update({"O": 0, "o": 0, "I": 1, "i": 1, "L": 1, "l": 1})
 
-# Encoding looks up 10 bits at a time in all 1,024 two-character digit pairs.
-# One f-string joins the 13 pairs into one new string; chained + would build
-# 11 throwaway intermediates.
-_ULID_PAIRS = tuple(a + b for a in CROCKFORD_ALPHABET for b in CROCKFORD_ALPHABET)
-# Decoding fast path: ASCII code -> standard base-32 digit; None deletes the
-# character, so any invalid one shortens the text and sends it to the loop.
-_TO_BASE32 = tuple(
-    "0123456789abcdefghijklmnopqrstuv"[_ULID_DIGIT[chr(i)]] if chr(i) in _ULID_DIGIT else None
-    for i in range(128)
+# Decoding fast path, as byte tables for bytes.translate: an accepted
+# character maps to the standard base-32 digit int(..., 32) reads, and every
+# other byte is deleted, so invalid text comes out short and goes to the loop.
+_TO_BASE32 = bytes.maketrans(
+    "".join(_ULID_DIGIT).encode("ascii"),
+    "".join("0123456789abcdefghijklmnopqrstuv"[i] for i in _ULID_DIGIT.values()).encode("ascii"),
 )
+_NOT_BASE32 = bytes(b for b in range(256) if chr(b) not in _ULID_DIGIT)
+
+# Encoding spreads the 26 five-bit digits of a value one per byte, then maps
+# each byte to its character. Digit j, counted from the least significant,
+# starts at bit 5j and must end at bit 8j, a lift of 3j bits; step k (4 down
+# to 0) lifts every digit whose j has bit k set by 3 * 2^k bits. _M<k> holds
+# those digits' bits where they sit before step k: earlier steps have lifted
+# them by 3 * (j with bits 0..k cleared).
+_M4, _M3, _M2, _M1, _M0 = (
+    sum(31 << 5 * j + 3 * (j >> k + 1 << k + 1) for j in range(ULID_TEXT_LENGTH) if j >> k & 1)
+    for k in (4, 3, 2, 1, 0)
+)
+_BYTE_TO_CHAR = bytes.maketrans(bytes(range(32)), CROCKFORD_ALPHABET.encode("ascii"))
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
-_LOW30 = (1 << 30) - 1
 
 
 def ulid_encode(value: Uid128) -> str:
     """Render a 128-bit value as its 26-character canonical ULID string."""
     if not 0 <= value <= UID128_MAX:
         raise ValueError(f"value outside [0, 2^128 - 1]: {value}")
-    # Split once into 30-bit chunks (the top one holds 38 bits), so the 12
-    # shift-and-mask steps run on one- or two-digit ints, not a 128-bit one.
-    t = _ULID_PAIRS
-    a, b, c, d = value >> 90, value >> 60 & _LOW30, value >> 30 & _LOW30, value & _LOW30
-    return (
-        f"{t[a >> 30]}{t[a >> 20 & 1023]}{t[a >> 10 & 1023]}{t[a & 1023]}"
-        f"{t[b >> 20]}{t[b >> 10 & 1023]}{t[b & 1023]}"
-        f"{t[c >> 20]}{t[c >> 10 & 1023]}{t[c & 1023]}"
-        f"{t[d >> 20]}{t[d >> 10 & 1023]}{t[d & 1023]}"
-    )
+    # x + (x & M) * (2^s - 1) moves the bits under M up by s in one multiply;
+    # no step's destinations overlap the bits it leaves, so nothing carries.
+    x = value + (value & _M4) * ((1 << 48) - 1)
+    x += (x & _M3) * ((1 << 24) - 1)
+    x += (x & _M2) * ((1 << 12) - 1)
+    x += (x & _M1) * ((1 << 6) - 1)
+    x += (x & _M0) * ((1 << 3) - 1)
+    return x.to_bytes(ULID_TEXT_LENGTH, "big").translate(_BYTE_TO_CHAR).decode()
 
 
 def ulid_decode(text: str) -> Uid128:
@@ -102,7 +108,7 @@ def ulid_decode(text: str) -> Uid128:
     if len(text) != ULID_TEXT_LENGTH:
         raise InvalidLength(f"ULID must be {ULID_TEXT_LENGTH} characters, got {len(text)}")
     if text.isascii():
-        digits = text.translate(_TO_BASE32)
+        digits = text.encode("ascii").translate(_TO_BASE32, _NOT_BASE32)
         if len(digits) == ULID_TEXT_LENGTH:
             value = int(digits, 32)
             if value <= UID128_MAX:

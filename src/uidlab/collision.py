@@ -139,7 +139,10 @@ class Probability:
         """Scientific-notation rendering with 1 to 60 significant digits."""
         if not 1 <= digits <= _PRECISION:
             raise ValueError(f"digits must be in [1, {_PRECISION}], got {digits}")
-        return format(self.value, f".{digits - 1}e")
+        # Decimal renders a zero's exponent from its digit count ("0.0e+1");
+        # a zero scaled by those digits renders as "0.0e+0", like "1.0e+0".
+        value = self.value or Decimal(0).scaleb(1 - digits)
+        return format(value, f".{digits - 1}e")
 
     def __float__(self) -> float:
         return float(self.value)
@@ -175,7 +178,13 @@ def approx_no_collision_prob(query: CollisionQuery) -> Probability:
 
 
 def collision_prob(query: CollisionQuery) -> Probability:
-    """Probability of at least one duplicate among ``count`` identifiers."""
+    """Probability of at least one duplicate among ``count`` identifiers.
+
+    Certain once the count exceeds the space, as the exact form also says;
+    the approximation alone would still leave a small chance of none.
+    """
+    if query.count > 1 << query.effective_bits:
+        return Probability.certain()
     return approx_no_collision_prob(query).complement()
 
 

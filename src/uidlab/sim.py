@@ -45,6 +45,7 @@ __all__ = [
     "OrderingReport",
     "TopicClosed",
     "UnknownPartition",
+    "EventCountMismatch",
     "partition_for",
     "run_simulation",
     "verify_ordering",
@@ -69,6 +70,15 @@ class TopicClosed(RuntimeError):
 
 class UnknownPartition(ValueError):
     pass
+
+
+class EventCountMismatch(RuntimeError):
+    """The topic holds a different number of events than the producers made.
+
+    A program fault, not a property of the run: the report's "conserved"
+    compares only what the topic, the offsets and the sink hold, so an event
+    lost before it reached the topic would otherwise go unseen.
+    """
 
 
 class Event(NamedTuple):
@@ -347,7 +357,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     scheduler and the clock differ. A scheduler returns once the topic is
     closed and no consumer runs; the calling thread then drains the tail,
     one round at a time. Re-raises the first exception of any producer or
-    consumer, and closes the sink either way.
+    consumer, raises :class:`EventCountMismatch` if the topic holds other
+    than every event the producers made, and closes the sink either way.
     """
     topic = Topic("events", cfg.partitions)
     sink = Sink(cfg.persist_path)
@@ -450,6 +461,9 @@ def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> None:
 def _build_report(cfg, topic, sink, producers, elapsed) -> SimReport:
     partitions = range(topic.partitions)
     events_total = sum(topic.end_offset(p) for p in partitions)
+    produced = cfg.producers * cfg.events_per_producer
+    if events_total != produced:
+        raise EventCountMismatch(f"producers made {produced} events, but the topic holds {events_total}")
     if cfg.scheme.time_ordered:
         logs = [topic.partition_log(p) for p in partitions]
         ordering = verify_ordering(logs, cfg.scheme)

@@ -179,6 +179,15 @@ def test_model_single_probability(capsys):
     assert abs(float(out.strip()) - 2.6e-17) / 2.6e-17 < 0.05
 
 
+@pytest.mark.parametrize(
+    "bits, count, expected",
+    [("1", "5", "1.0e+0"), ("128", "0", "0.0e+0"), ("128", "1", "0.0e+0")],
+)
+def test_model_prints_certainty_and_zero_exactly(capsys, bits, count, expected):
+    status, out, _ = run_cli(capsys, "model", "--bits", bits, "--count", count)
+    assert (status, out) == (0, expected + "\n")
+
+
 def test_model_solve_threshold(capsys):
     status, out, _ = run_cli(capsys, "model", "--solve-p", "0.5", "--bits", "80")
     assert status == 0
@@ -311,6 +320,18 @@ def test_sim_that_loses_events_exits_nonzero(capsys, monkeypatch):
     assert "events published    40" in out
     assert "events stored       40" not in out
     assert status == 1
+
+
+def test_sim_that_loses_an_event_before_the_topic_exits_with_one_error_line(capsys, monkeypatch):
+    publish = sim_mod.Topic.publish
+    monkeypatch.setattr(
+        sim_mod.Topic, "publish", lambda topic, event: publish(topic, event) if event.seq != 3 else (0, 0)
+    )
+    status, out, err = run_cli(
+        capsys, "sim", "--scheme", "ulid", "--deterministic", "--events", "20", "--producers", "2"
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: producers made 40 events, but the topic holds 38\n"
 
 
 def test_sim_unwritable_persist_path_fails_without_traceback(capsys, tmp_path):

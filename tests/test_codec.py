@@ -1,3 +1,4 @@
+import inspect
 import random
 import uuid
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uidlab import codec
 from uidlab.codec import (
     CROCKFORD_ALPHABET,
     CodecError,
@@ -40,6 +42,13 @@ def test_ulid_encode_one():
 
 def test_ulid_encode_max():
     assert ulid_encode(UID_MAX) == "7ZZZZZZZZZZZZZZZZZZZZZZZZZ"
+
+
+def test_ulid_encode_every_digit_at_every_position():
+    # Position i counts from the least significant digit; the top one holds 0-7.
+    for i in range(26):
+        for d in range(32 if i < 25 else 8):
+            assert ulid_encode(d << 5 * i) == reference_base32(d << 5 * i), (i, d)
 
 
 def test_ulid_encode_matches_divmod_oracle():
@@ -98,6 +107,17 @@ def test_ulid_order_preservation():
         a = rng.getrandbits(128)
         b = rng.getrandbits(128)
         assert (a < b) == (ulid_encode(a) < ulid_encode(b))
+
+
+def test_codec_module_keeps_no_table_temporaries():
+    # Every private module-level name is a table some codec function reads;
+    # a loop variable left over from building the tables would be none.
+    read = set()
+    for obj in vars(codec).values():
+        if inspect.isfunction(obj) and obj.__module__ == codec.__name__:
+            read.update(obj.__code__.co_names)
+    private = {name for name in vars(codec) if name.startswith("_") and not name.startswith("__")}
+    assert private and private <= read
 
 
 def test_ulid_alphabet_is_strictly_increasing():
@@ -217,13 +237,14 @@ TRAPS = ["_", " ", "\t", "+", "-", "U", "u", "x", "X", "\u0663", "\uff11"]
 ULID_CHARS = CROCKFORD_ALPHABET + CROCKFORD_ALPHABET.lower() + "IiLlOo"
 HEX_CHARS = "0123456789abcdefABCDEF-"
 uids = st.integers(0, UID_MAX)
-# ulid_encode splits a value at bits 30, 60 and 90; these sit on both sides of
-# each split, of the top pair at bit 120, and at the ends of the range.
-CHUNK_BOUNDARIES = [0, UID_MAX] + [v for k in (30, 60, 90, 120) for v in (2**k - 1, 2**k)]
+# Step k of ulid_encode's spread lifts the digits whose index has bit k set;
+# the lowest of them starts at bit 5 * 2^k. These values sit on both sides of
+# each such start, and at the ends of the range.
+SPREAD_BOUNDARIES = [0, UID_MAX] + [2 ** (5 << k) + d for k in range(5) for d in (-1, 0, 1)]
 
 
-def at_chunk_boundaries(test):
-    for value in CHUNK_BOUNDARIES:
+def at_spread_boundaries(test):
+    for value in SPREAD_BOUNDARIES:
         test = example(value)(test)
     return test
 
@@ -256,6 +277,14 @@ def test_ulid_decode_matches_reference_with_one_trap(value, lower, data):
     assert outcome(ulid_decode, text) == outcome(reference_ulid_decode, text)
 
 
+@pytest.mark.parametrize("position", [0, 12, 25])
+def test_ulid_decode_matches_reference_on_every_substitution(position):
+    valid = ulid_encode(0x0123456789ABCDEF0123456789ABCDEF)
+    for ch in [chr(code) for code in range(256)] + [t for t in TRAPS if ord(t) > 255]:
+        text = valid[:position] + ch + valid[position + 1 :]
+        assert outcome(ulid_decode, text) == outcome(reference_ulid_decode, text), repr(ch)
+
+
 @settings(max_examples=200, deadline=None)
 @given(text_of(36, HEX_CHARS))
 @example("0x000000-0000-4000-8000-000000000000")
@@ -275,7 +304,7 @@ def test_uuid_parse_matches_reference_with_one_trap(value, upper, data):
 
 @settings(deadline=None)
 @given(uids)
-@at_chunk_boundaries
+@at_spread_boundaries
 def test_codec_property_matches_oracle_and_round_trips(value):
     text = ulid_encode(value)
     assert text == reference_base32(value)
@@ -285,7 +314,7 @@ def test_codec_property_matches_oracle_and_round_trips(value):
 
 @settings(deadline=None)
 @given(uids)
-@at_chunk_boundaries
+@at_spread_boundaries
 def test_uuid_format_matches_stdlib(value):
     assert uuid_format(value) == str(uuid.UUID(int=value))
 

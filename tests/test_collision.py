@@ -94,6 +94,15 @@ def test_collision_prob_antitone_in_bits():
             previous = p
 
 
+def test_collision_prob_is_certain_past_the_space():
+    for bits, n in ((1, 3), (1, 5), (4, 17), (8, 10**8)):
+        q = CollisionQuery(bits, n)
+        assert collision_prob(q) == Probability.certain()
+        if bits <= 4:
+            assert collision_prob(q) == exact_no_collision_prob(q).complement()
+    assert float(collision_prob(CollisionQuery(1, 2))) < 1.0
+
+
 # --- exact product -----------------------------------------------------------
 
 def test_exact_one_prior_occupant():
@@ -208,6 +217,20 @@ def test_probability_sci_formatting():
     p = collision_prob(CollisionQuery(122, 1000))
     assert p.sci(2) == "9.4e-32"
     assert p.sci(4) == "9.395e-32"
+
+
+@pytest.mark.parametrize("digits, zero", [(1, "0e+0"), (2, "0.0e+0"), (4, "0.000e+0"), (60, "0." + "0" * 59 + "e+0")])
+def test_probability_sci_renders_zero_with_exponent_zero(digits, zero):
+    assert Probability.impossible().sci(digits) == zero
+    # exp() of a huge negative log underflows to a zero with a huge exponent.
+    assert approx_no_collision_prob(CollisionQuery(1, 2**64)).sci(digits) == zero
+    assert Probability.certain().sci(digits) == "1" + zero[1:]
+
+
+def test_probability_repr():
+    assert repr(Probability.impossible()) == "Probability(0.000000e+0)"
+    assert repr(Probability.certain()) == "Probability(1.000000e+0)"
+    assert repr(collision_prob(CollisionQuery(122, 1000))) == "Probability(9.394551e-32)"
 
 
 @pytest.mark.parametrize("digits", [0, 61])

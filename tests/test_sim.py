@@ -20,6 +20,7 @@ from uidlab.core import (
 )
 from uidlab.sim import (
     Event,
+    EventCountMismatch,
     SIM_CSV_HEADER,
     SimConfig,
     SimReport,
@@ -394,6 +395,32 @@ def test_consumed_total_counts_committed_offsets_not_returned_batches(monkeypatc
     assert report.consumed_total == report.events_total == 100
     assert report.stored_total < 100
     assert not report.conserved
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["threaded", "deterministic"])
+def test_event_lost_before_the_topic_raises(monkeypatch, deterministic):
+    # Topic, offsets and sink all agree on 99 events, so the report alone
+    # would read "conserved"; the run must count against what was produced.
+    publish = Topic.publish
+
+    def dropping(topic, event):
+        if (event.producer, event.seq) != (0, 1):
+            return publish(topic, event)
+        return 0, 0
+
+    monkeypatch.setattr(Topic, "publish", dropping)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=2,
+        events_per_producer=50,
+        partitions=2,
+        consumers=1,
+        seed=7,
+        deterministic=deterministic,
+    )
+    with pytest.raises(EventCountMismatch, match="producers made 100 events, but the topic holds 99"):
+        run_simulation(cfg)
+    assert issubclass(EventCountMismatch, RuntimeError)
 
 
 # Entry points an outside tracer wraps by attribute, each on the module or
