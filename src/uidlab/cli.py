@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -154,7 +155,10 @@ def _cmd_sim(args, parser) -> int:
         persist_path=args.persist,
     )
     report = sim_mod.run_simulation(cfg)
-    sys.stdout.write(report.render_csv() if args.csv else report.render_text())
+    text = report.render_csv() if args.csv else report.render_text()
+    if args.deterministic and not args.csv:  # both figures count virtual rounds, not wall time
+        text = re.sub(r"^(elapsed seconds|effective mbps) .*", r"\g<0> (virtual)", text, flags=re.M)
+    sys.stdout.write(text)
     failed = not report.conserved or report.duplicate_count > 0 or (
         report.ordering_checked and report.ordering_violations > 0
     )

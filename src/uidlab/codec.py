@@ -82,6 +82,7 @@ _M4, _M3, _M2, _M1, _M0 = (
 )
 _BYTE_TO_CHAR = bytes.maketrans(bytes(range(32)), CROCKFORD_ALPHABET.encode("ascii"))
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
+_NOT_HEX = bytes(b for b in range(256) if chr(b) not in _HEX_DIGITS)
 
 
 def ulid_encode(value: Uid128) -> str:
@@ -101,9 +102,10 @@ def ulid_encode(value: Uid128) -> str:
 def ulid_decode(text: str) -> Uid128:
     """Parse a ULID string back to its 128-bit value.
 
-    Case-insensitive; the aliases I and L read as 1 and O reads as 0. Valid
-    text takes the ``int(..., 32)`` fast path; anything else goes through
-    the per-character loop, which raises the precise error.
+    Case-insensitive; the aliases I and L read as 1 and O reads as 0. One
+    ``bytes.translate`` maps valid characters to the base-32 digits that
+    ``int(..., 32)`` reads and deletes the rest. Text that loses a character
+    there, or is not ASCII, holds an invalid one; the loop only names the first.
     """
     if len(text) != ULID_TEXT_LENGTH:
         raise InvalidLength(f"ULID must be {ULID_TEXT_LENGTH} characters, got {len(text)}")
@@ -113,15 +115,10 @@ def ulid_decode(text: str) -> Uid128:
             value = int(digits, 32)
             if value <= UID128_MAX:
                 return value
-    value = 0
+            raise Overflow("leading character above '7' does not fit in 128 bits")
     for ch in text:
-        digit = _ULID_DIGIT.get(ch)
-        if digit is None:
+        if ch not in _ULID_DIGIT:
             raise InvalidCharacter(f"character {ch!r} is not in the ULID alphabet")
-        value = (value << 5) | digit
-    if value > UID128_MAX:
-        raise Overflow("leading character above '7' does not fit in 128 bits")
-    return value
 
 
 def uuid_format(value: Uid128) -> str:
@@ -133,22 +130,23 @@ def uuid_format(value: Uid128) -> str:
 
 
 def uuid_parse(text: str) -> Uid128:
-    """Parse a hyphenated UUID string (either case) back to its 128-bit value."""
+    """Parse a hyphenated UUID string (either case) back to its 128-bit value.
+
+    With the four hyphens in place, one ``bytes.translate`` deletes every
+    non-hex byte and ``int(..., 16)`` reads the 32 digits left. Any other text
+    with those hyphens holds a non-hex character; the loop only names the first.
+    """
     if len(text) != UUID_TEXT_LENGTH:
         raise InvalidLength(f"UUID must be {UUID_TEXT_LENGTH} characters, got {len(text)}")
+    if text[8:24:5] == "----" and text.isascii():
+        digits = text.encode("ascii").translate(None, _NOT_HEX)
+        if len(digits) == 32:
+            return int(digits, 16)
     if text.count("-") != 4 or text[8:24:5] != "----":
         raise MisplacedHyphen("hyphens must sit at positions 8, 13, 18 and 23")
-    digits = text.replace("-", "")
-    # int() would also take a "0x" prefix, so an 'x' at index 1 skips the fast path.
-    if digits.isascii() and digits.isalnum() and digits[1] not in "xX":
-        try:
-            return int(digits, 16)
-        except ValueError:
-            pass
-    for ch in digits:
-        if ch not in _HEX_DIGITS:
+    for ch in text:
+        if ch not in _HEX_DIGITS and ch != "-":
             raise InvalidCharacter(f"character {ch!r} is not a hexadecimal digit")
-    return int(digits, 16)
 
 
 def encoder_for(scheme: IdScheme):

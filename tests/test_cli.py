@@ -292,6 +292,17 @@ def test_sim_clean_run_exits_zero(capsys):
     assert "duplicate count     0" in out
 
 
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "threaded"])
+def test_sim_labels_virtual_time_only_in_deterministic_mode(capsys, deterministic):
+    mode = ["--deterministic"] if deterministic else []
+    status, out, _ = run_cli(capsys, "sim", "--scheme", "ulid", "--producers", "2", "--events", "50", *mode)
+    assert status == 0
+    timed = [line for line in out.splitlines() if line.startswith(("elapsed seconds", "effective mbps"))]
+    assert len(timed) == 2
+    assert all(line.endswith(" (virtual)") == deterministic for line in timed)
+    assert out.count("(virtual)") == (2 if deterministic else 0)
+
+
 def test_sim_zero_producers_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sim", "--scheme", "ulid", "--producers", "0"])

@@ -285,6 +285,13 @@ def test_ulid_decode_matches_reference_on_every_substitution(position):
         assert outcome(ulid_decode, text) == outcome(reference_ulid_decode, text), repr(ch)
 
 
+@pytest.mark.parametrize("lead", sorted(set(CROCKFORD_ALPHABET[8:] + CROCKFORD_ALPHABET[8:].lower())))
+def test_ulid_decode_overflows_on_every_leading_digit_above_7(lead):
+    text = lead + "0" * 25
+    overflow = (Overflow, "leading character above '7' does not fit in 128 bits")
+    assert outcome(codec.decode, text) == outcome(reference_ulid_decode, text) == overflow
+
+
 @settings(max_examples=200, deadline=None)
 @given(text_of(36, HEX_CHARS))
 @example("0x000000-0000-4000-8000-000000000000")
@@ -300,6 +307,27 @@ def test_uuid_parse_matches_reference_with_one_trap(value, upper, data):
     text = uuid_format(value)
     text = replace_one(text.upper() if upper else text, data)
     assert outcome(uuid_parse, text) == outcome(reference_uuid_parse, text)
+
+
+@pytest.mark.parametrize("position", [0, 1, 8, 20, 35])
+def test_uuid_parse_matches_reference_on_every_substitution(position):
+    # Position 1 is where int() would read an "0x" prefix; 8 holds a hyphen.
+    valid = uuid_format(0x0123456789ABCDEF0123456789ABCDEF)
+    for ch in [chr(code) for code in range(256)] + [t for t in TRAPS if ord(t) > 255]:
+        text = valid[:position] + ch + valid[position + 1 :]
+        assert outcome(uuid_parse, text) == outcome(reference_uuid_parse, text), repr(ch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(text_of(26, ULID_CHARS), text_of(36, HEX_CHARS)))
+@example(ulid_encode(UID_MAX))
+@example(uuid_format(UID_MAX))
+@example("8ZZZZZZZZZZZZZZZZZZZZZZZZZ")
+def test_decode_returns_an_int_or_raises_a_codec_error(text):
+    # The reject loops only look for an invalid character; one that finds
+    # none would fall off the end of the decoder and return None.
+    result = outcome(codec.decode, text)
+    assert type(result) is int or issubclass(result[0], CodecError), result
 
 
 @settings(deadline=None)
