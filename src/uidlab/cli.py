@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--produce-interval-ms", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true", help="single-threaded virtual-time replay")
-    p.add_argument("--persist", default=None, help="append stored ids to this file, one per line")
+    p.add_argument("--persist", default=None, help="write stored ids to this file, one per line, overwriting it")
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("report", help="combine metrics CSVs into a comparison table")

@@ -122,11 +122,15 @@ def ulid_decode(text: str) -> Uid128:
 
 
 def uuid_format(value: Uid128) -> str:
-    """Render a 128-bit value as the lowercase 8-4-4-4-12 UUID string."""
-    if not 0 <= value <= UID128_MAX:
-        raise ValueError(f"value outside [0, 2^128 - 1]: {value}")
-    s = value.to_bytes(16, "big").hex()
-    return f"{s[0:8]}-{s[8:12]}-{s[12:16]}-{s[16:20]}-{s[20:32]}"
+    """Render a 128-bit value as the lowercase 8-4-4-4-12 UUID string.
+
+    ``to_bytes`` is the range test; ``hex('-', 2)`` writes the middle three groups.
+    """
+    try:
+        b = value.to_bytes(16, "big")
+    except OverflowError:
+        raise ValueError(f"value outside [0, 2^128 - 1]: {value}") from None
+    return f"{b[:4].hex()}-{b[4:10].hex('-', 2)}-{b[10:].hex()}"
 
 
 def uuid_parse(text: str) -> Uid128:

@@ -17,7 +17,8 @@ big-endian form:
 Randomness and time come in through tiny source objects (``next_bits`` /
 ``now``) so that every generator can be driven deterministically in tests
 and replayed from a seed. The defaults are the operating-system CSPRNG and
-the system clock.
+the system clock, which the generators read inline, without a
+``SystemClock`` call per id.
 """
 
 from __future__ import annotations
@@ -223,7 +224,6 @@ class MonotonicState:
 
 
 _DEFAULT_ENTROPY = SystemEntropy()
-_DEFAULT_CLOCK = SystemClock()
 
 
 def check_timestamp48(millis: int) -> Timestamp48:
@@ -246,7 +246,7 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
     variant bits are both plain randomness (74 random bits total), so two
     identifiers from the same millisecond carry no ordering guarantee.
     """
-    ts = (clock or _DEFAULT_CLOCK).now()
+    ts = clock.now() if clock else time.time_ns() // 1_000_000  # SystemClock.now, inlined
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
     r = (rng or _DEFAULT_ENTROPY).next_bits(74)
@@ -255,7 +255,7 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
 
 def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
     """Generate a ULID value: 48-bit millisecond timestamp and 80 random bits."""
-    ts = (clock or _DEFAULT_CLOCK).now()
+    ts = clock.now() if clock else time.time_ns() // 1_000_000  # SystemClock.now, inlined
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
     return (ts << 80) | (rng or _DEFAULT_ENTROPY).next_bits(80)
@@ -275,7 +275,7 @@ def next_monotonic_ulid(
     component cannot be incremented; the caller should retry after the next
     clock tick.
     """
-    now = (clock or _DEFAULT_CLOCK).now()
+    now = clock.now() if clock else time.time_ns() // 1_000_000  # SystemClock.now, inlined
     if not 0 <= now <= TIMESTAMP48_MAX:
         check_timestamp48(now)  # raises; the range test is inlined to save a call per id
     if now > state.last_ts:

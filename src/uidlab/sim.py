@@ -167,7 +167,8 @@ class Sink:
     """Uniqueness-checking event store standing in for the database.
 
     Counts every insertion whose identifier was already present. Optionally
-    appends each identifier to a file, one per line.
+    writes each identifier to a file, one per line; the file is overwritten,
+    so it holds one run's identifiers.
     """
 
     def __init__(self, persist_path=None):

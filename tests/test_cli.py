@@ -355,6 +355,21 @@ def test_sim_unwritable_persist_path_fails_without_traceback(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_sim_persist_overwrites_the_file(capsys, tmp_path):
+    def persist(path, seed):
+        argv = ["sim", "--scheme", "ulid", "--deterministic", "--producers", "1", "--events", "3"]
+        status, _, _ = run_cli(capsys, *argv, "--seed", seed, "--persist", str(path))
+        assert status == 0
+        return path.read_text(encoding="ascii").splitlines()
+
+    shared = tmp_path / "ids.txt"
+    first = persist(shared, "1")
+    second = persist(shared, "2")
+    assert len(first) == len(second) == 3
+    assert not set(first) & set(second)
+    assert second == persist(tmp_path / "fresh.txt", "2")
+
+
 def test_sim_crash_outside_run_errors_keeps_its_traceback(monkeypatch):
     def crash(cfg):
         raise sim_mod.TopicClosed("worker crashed")

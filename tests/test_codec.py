@@ -141,6 +141,24 @@ def test_uuid_format_rejects_out_of_range():
         uuid_format(1 << 128)
 
 
+@pytest.mark.parametrize("value", [-1, 1 << 128, -(1 << 200)], ids=["minus-one", "2^128", "-2^200"])
+def test_uuid_format_range_error_names_the_value_and_hides_its_cause(value):
+    with pytest.raises(ValueError) as raised:
+        uuid_format(value)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"value outside [0, 2^128 - 1]: {value}"
+    assert raised.value.__suppress_context__
+
+
+def test_uuid_format_takes_a_bool_as_its_int():
+    assert uuid_format(True) == "00000000-0000-0000-0000-000000000001"
+
+
+@pytest.mark.parametrize("value", [v for k in range(1, 16) for v in (2 ** (8 * k) - 1, 2 ** (8 * k))])
+def test_uuid_format_matches_stdlib_at_every_byte_boundary(value):
+    assert uuid_format(value) == str(uuid.UUID(int=value))
+
+
 def test_uuid_parse_version_nibble():
     value = uuid_parse("00000000-0000-4000-8000-000000000000")
     assert (value >> 76) & 0xF == 4

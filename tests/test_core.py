@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import uuid as stdlib_uuid
 from pathlib import Path
 
@@ -242,6 +243,39 @@ def test_generators_reject_clock_outside_48_bits(millis):
         generate_ulid(clock, SeededEntropy(0))
     with pytest.raises(ValueError, match=message):
         generate_uuidv7(clock, SeededEntropy(0))
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [generate_ulid, generate_uuidv7, lambda: next_monotonic_ulid(MonotonicState())],
+    ids=["ulid", "uuidv7", "monotonic-ulid"],
+)
+def test_default_clock_stamps_the_system_millisecond(generate):
+    before = time.time_ns() // 10**6
+    value = generate()
+    after = time.time_ns() // 10**6
+    assert before <= value >> 80 <= after
+
+
+@pytest.mark.parametrize(
+    "generate, version",
+    [(generate_uuidv4, 4), (generate_uuidv7, 7)],
+    ids=["uuidv4", "uuidv7"],
+)
+def test_default_entropy_keeps_version_and_variant(generate, version, monkeypatch):
+    draws = []
+
+    def counting_urandom(n):
+        draws.append(n)
+        return os.urandom(n)
+
+    monkeypatch.setattr(core, "urandom", counting_urandom)
+    values = [generate() for _ in range(64)]
+    assert len(draws) == 64  # one fresh draw per id
+    assert len(set(values)) == 64
+    for value in values:
+        assert version_of(value) == version
+        assert variant_bits_of(value) == 0b10
 
 
 def test_seeded_entropy_is_reproducible():
