@@ -17,8 +17,7 @@ big-endian form:
 Randomness and time come in through tiny source objects (``next_bits`` /
 ``now``) so that every generator can be driven deterministically in tests
 and replayed from a seed. The defaults are the operating-system CSPRNG and
-the system clock, which the generators read inline, without a
-``SystemClock`` call per id.
+the system clock.
 """
 
 from __future__ import annotations

@@ -135,19 +135,12 @@ def test_uuid_format_max():
 
 
 def test_uuid_format_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        uuid_format(-1)
-    with pytest.raises(ValueError):
-        uuid_format(1 << 128)
-
-
-@pytest.mark.parametrize("value", [-1, 1 << 128, -(1 << 200)], ids=["minus-one", "2^128", "-2^200"])
-def test_uuid_format_range_error_names_the_value_and_hides_its_cause(value):
-    with pytest.raises(ValueError) as raised:
-        uuid_format(value)
-    assert type(raised.value) is ValueError
-    assert str(raised.value) == f"value outside [0, 2^128 - 1]: {value}"
-    assert raised.value.__suppress_context__
+    for value in (-1, 1 << 128, -(1 << 200)):
+        with pytest.raises(ValueError) as raised:
+            uuid_format(value)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"value outside [0, 2^128 - 1]: {value}"
+        assert raised.value.__suppress_context__
 
 
 def test_uuid_format_takes_a_bool_as_its_int():
