@@ -32,7 +32,6 @@ __all__ = [
     "CollisionQuery",
     "Probability",
     "DomainTooLarge",
-    "CountExceedsSpace",
     "approx_no_collision_prob",
     "collision_prob",
     "exact_no_collision_prob",
@@ -76,10 +75,6 @@ FIFTY_PERCENT_THRESHOLD_NOTES = {
 
 class DomainTooLarge(ValueError):
     """The exact product form is limited to small spaces (<= 24 bits)."""
-
-
-class CountExceedsSpace(DomainTooLarge):
-    """Exact form rejected: the space is too large and n exceeds it anyway."""
 
 
 @dataclass(frozen=True)
@@ -191,25 +186,18 @@ def collision_prob(query: CollisionQuery) -> Probability:
 def exact_no_collision_prob(query: CollisionQuery) -> Probability:
     """The exact product prod_{k<n} (1 - k/d), for small spaces only.
 
-    Serves as the oracle the approximation is judged against. Limited to
-    ``effective_bits`` <= 24; raises :class:`DomainTooLarge` beyond that
-    (:class:`CountExceedsSpace` if the count also exceeds the space). When
-    n exceeds the space size within the supported range, the pigeonhole
-    answer 0 is returned rather than an error.
+    Serves as the oracle the approximation is judged against. When n exceeds
+    the space size the pigeonhole answer 0 is returned at any width;
+    otherwise ``effective_bits`` above 24 raises :class:`DomainTooLarge`.
     """
     bits, n = query.effective_bits, query.count
-    if bits > EXACT_MAX_BITS:
-        if n > (1 << bits):
-            raise CountExceedsSpace(
-                f"exact form supports at most {EXACT_MAX_BITS} bits and n exceeds 2^{bits}"
-            )
-        raise DomainTooLarge(f"exact form supports at most {EXACT_MAX_BITS} bits, got {bits}")
-    d = 1 << bits
-    if n > d:
+    if n > 1 << bits:
         return Probability.impossible()
+    if bits > EXACT_MAX_BITS:
+        raise DomainTooLarge(f"exact form supports at most {EXACT_MAX_BITS} bits, got {bits}")
     with localcontext() as ctx:
         ctx.prec = _PRECISION
-        d_dec = Decimal(d)
+        d_dec = Decimal(1 << bits)
         total = Decimal(0)
         for k in range(1, n):
             total += (1 - Decimal(k) / d_dec).ln()
@@ -231,7 +219,8 @@ def count_for_probability(effective_bits: int, p) -> float:
         raise ValueError(f"target probability must be in (0, 1), got {p}")
     with localcontext() as ctx:
         ctx.prec = _PRECISION
-        ln_term = (Decimal(1) / (1 - p_dec)).ln()
+        # -ln(1 - p); below the cutoff 1 - p would round to 1 at 60 digits.
+        ln_term = p_dec + p_dec * p_dec / 2 if p_dec < _SERIES_CUTOFF else -(1 - p_dec).ln()
         n = (2 * Decimal(1 << effective_bits) * ln_term).sqrt()
     return float(n)
 

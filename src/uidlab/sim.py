@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import codec
@@ -41,8 +41,6 @@ __all__ = [
     "Sink",
     "SimConfig",
     "SimReport",
-    "OrderingViolation",
-    "OrderingReport",
     "TopicClosed",
     "UnknownPartition",
     "EventCountMismatch",
@@ -125,10 +123,8 @@ class Topic:
         if not 0 <= partition < self.partitions:
             raise UnknownPartition(f"partition {partition} not in [0, {self.partitions})")
 
-    def consume(self, partition: int, max_events: int) -> list[Event]:
-        """Next batch of the partition, advancing its offset; never re-delivers."""
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
+    def consume(self, partition: int) -> list[Event]:
+        """Next batch of at most 256 events, advancing the offset; never re-delivers."""
         if not 0 <= partition < self.partitions:
             self._check_partition(partition)
         log, offsets = self._logs[partition], self._offsets
@@ -139,7 +135,7 @@ class Topic:
             return []
         with self._lock:
             start = offsets[partition]
-            end = min(len(log), start + max_events)
+            end = min(len(log), start + _CONSUME_BATCH)
             offsets[partition] = end
         return log[start:end]
 
@@ -217,6 +213,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.produce_interval <= _MAX_SLEEP_S:
             raise ValueError(f"produce_interval must be in [0, {_MAX_SLEEP_S:g}] s")
+        if self.deterministic and self.produce_interval:
+            raise ValueError("produce_interval applies to threaded runs only; the deterministic mode ignores it")
 
 
 @dataclass(frozen=True)
@@ -275,51 +273,29 @@ class SimReport:
         return SIM_CSV_HEADER + "\n" + row + "\n"
 
 
-@dataclass(frozen=True)
-class OrderingViolation:
-    partition: int
-    producer: int
-    position: int
-    previous_id: str
-    id: str
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    pairs_checked: int
-    violations: tuple[OrderingViolation, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_ordering(partition_logs, scheme: IdScheme) -> OrderingReport:
-    """Check per-producer subsequences inside each partition for sortedness.
+def verify_ordering(partition_logs, scheme: IdScheme) -> int:
+    """Count per-producer pairs inside each partition that are out of order.
 
     Within one partition, events of one producer must appear with identifier
     string order matching sequence order (the codecs preserve numeric order,
-    so string comparison is the time comparison). Only the scheme's ordered
-    prefix is compared: UUIDv7 ids of one millisecond may come in any order.
+    so string comparison is the time comparison). Each event is compared with
+    the producer's previous one in that partition, on the scheme's ordered
+    prefix only: UUIDv7 ids of one millisecond may come in any order.
     UUIDv4 has no ordering claim to check and is rejected.
     """
     if not scheme.time_ordered:
         raise UnsupportedScheme("ordering verification needs a time-ordered scheme")
     n = scheme.ordered_chars
-    violations = []
-    pairs = 0
-    for p, log in enumerate(partition_logs):
+    violations = 0
+    for log in partition_logs:
         last_seen: dict[int, str] = {}
-        for pos, event in enumerate(log):
-            prev = last_seen.get(event.producer)
-            if prev is not None:
-                pairs += 1
-                if event.id[:n] < prev[:n]:
-                    violations.append(
-                        OrderingViolation(p, event.producer, pos, prev, event.id)
-                    )
-            last_seen[event.producer] = event.id
-    return OrderingReport(pairs_checked=pairs, violations=tuple(violations))
+        for id_, producer, _seq in log:
+            prefix = id_[:n]
+            prev = last_seen.get(producer)
+            if prev is not None and prefix < prev:
+                violations += 1
+            last_seen[producer] = prefix
+    return violations
 
 
 class _Producer:
@@ -379,7 +355,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             """Store one batch from each partition; return the events moved."""
             moved = 0
             for p in partitions:
-                batch = consume(p, _CONSUME_BATCH)
+                batch = consume(p)
                 if batch:
                     store(batch)
                     moved += len(batch)
@@ -467,8 +443,7 @@ def _build_report(cfg, topic, sink, producers, elapsed) -> SimReport:
         raise EventCountMismatch(f"producers made {produced} events, but the topic holds {events_total}")
     if cfg.scheme.time_ordered:
         logs = [topic.partition_log(p) for p in partitions]
-        ordering = verify_ordering(logs, cfg.scheme)
-        ordering_checked, ordering_violations = True, len(ordering.violations)
+        ordering_checked, ordering_violations = True, verify_ordering(logs, cfg.scheme)
     else:
         ordering_checked, ordering_violations = False, 0
     # Two bytes per character: 52 bytes per ULID, 72 per UUID.

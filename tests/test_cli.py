@@ -196,6 +196,11 @@ def test_model_solve_threshold(capsys):
     assert "note:" in out
 
 
+def test_model_solve_tiny_probability(capsys):
+    status, out, _ = run_cli(capsys, "model", "--solve-p", "1e-70", "--bits", "160")
+    assert (status, out) == (0, "1.7097e-11\n")
+
+
 def test_model_requires_exactly_one_mode(capsys):
     for argv in (
         ["model"],
@@ -228,6 +233,7 @@ def test_model_requires_exactly_one_mode(capsys):
         ["model", "--solve-p", "0.5", "--bits", "0"],
         ["model", "--solve-p", "nan", "--bits", "80"],
         ["sim", "--scheme", "ulid", "--events", "0"],
+        ["sim", "--scheme", "ulid", "--deterministic", "--produce-interval-ms", "5"],
         ["bench", "--scheme", "ulid", "--samples", "0"],
     ],
     ids=" ".join,

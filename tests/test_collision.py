@@ -1,13 +1,12 @@
 import dataclasses
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from uidlab.collision import (
     CollisionQuery,
-    CountExceedsSpace,
     DomainTooLarge,
     FIFTY_PERCENT_THRESHOLD_NOTES,
     Probability,
@@ -124,10 +123,9 @@ def test_exact_against_float_log_oracle():
 def test_exact_domain_limits():
     with pytest.raises(DomainTooLarge):
         exact_no_collision_prob(CollisionQuery(25, 10))
-    with pytest.raises(CountExceedsSpace):
-        exact_no_collision_prob(CollisionQuery(25, 2**25 + 1))
-    # CountExceedsSpace is a DomainTooLarge, never raised on its own.
-    assert issubclass(CountExceedsSpace, DomainTooLarge)
+    # Pigeonhole comes before the width limit, at any width.
+    assert exact_no_collision_prob(CollisionQuery(25, 2**25 + 1)) == Probability.impossible()
+    assert exact_no_collision_prob(CollisionQuery(160, 2**160 + 1)) == Probability.impossible()
 
 
 def test_query_validation():
@@ -153,6 +151,15 @@ def test_inversion_consistency():
             n = round(count_for_probability(bits, p))
             back = float(collision_prob(CollisionQuery(bits, n)))
             assert p * (1 - 1e-3) <= back <= p * (1 + 1e-3)
+
+
+@pytest.mark.parametrize("p", ["1e-70", "1e-40"])
+def test_count_for_probability_tiny_p(p):
+    # At 60 digits 1 - p rounds to 1 for these p; 120 digits hold it exactly.
+    with localcontext() as ctx:
+        ctx.prec = 120
+        expected = (2 * Decimal(2**160) * -(1 - Decimal(p)).ln()).sqrt()
+    assert rel_err(count_for_probability(160, Decimal(p)), float(expected)) < 1e-12
 
 
 def test_count_for_probability_validation():
