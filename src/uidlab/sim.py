@@ -214,7 +214,7 @@ class SimConfig:
         if not 0 <= self.produce_interval <= _MAX_SLEEP_S:
             raise ValueError(f"produce_interval must be in [0, {_MAX_SLEEP_S:g}] s")
         if self.deterministic and self.produce_interval:
-            raise ValueError("produce_interval applies to threaded runs only; the deterministic mode ignores it")
+            raise ValueError("produce_interval must be 0 in deterministic mode, which has no real time")
 
 
 @dataclass(frozen=True)

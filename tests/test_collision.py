@@ -155,7 +155,7 @@ def test_inversion_consistency():
 
 @pytest.mark.parametrize("p", ["1e-70", "1e-40"])
 def test_count_for_probability_tiny_p(p):
-    # At 60 digits 1 - p rounds to 1 for these p; 120 digits hold it exactly.
+    # At 60 digits 1 - 1e-70 rounds to 1; 120 digits hold 1 - p exactly for both.
     with localcontext() as ctx:
         ctx.prec = 120
         expected = (2 * Decimal(2**160) * -(1 - Decimal(p)).ln()).sqrt()
