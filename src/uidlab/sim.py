@@ -106,18 +106,25 @@ class Topic:
         self.partitions = partitions
         self._logs: list[list[Event]] = [[] for _ in range(partitions)]
         self._offsets = [0] * partitions
+        # The per-event paths (publish, consume and Sink.store) call acquire()
+        # and release() in try/finally rather than a with block: on CPython
+        # 3.11 that costs about half as much for an uncontended lock.
         self._lock = threading.Lock()
         self._closed = False
 
     def publish(self, event: Event) -> tuple[int, int]:
         """Append atomically; returns (partition, offset)."""
         p = partition_for(event.id, self.partitions)
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             if self._closed:
                 raise TopicClosed(f"topic {self.name!r} is closed")
             log = self._logs[p]
             log.append(event)
             return p, len(log) - 1
+        finally:
+            lock.release()
 
     def _check_partition(self, partition: int) -> None:
         if not 0 <= partition < self.partitions:
@@ -133,10 +140,14 @@ class Topic:
         # next drain, never skip or repeat one.
         if offsets[partition] == len(log):
             return []
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             start = offsets[partition]
             end = min(len(log), start + _CONSUME_BATCH)
             offsets[partition] = end
+        finally:
+            lock.release()
         return log[start:end]
 
     def close(self) -> None:
@@ -176,16 +187,20 @@ class Sink:
 
     def store(self, events) -> None:
         """Store one batch, a sized sequence of events."""
-        with self._lock:
-            stored, file = self.stored, self._file
+        lock = self._lock
+        lock.acquire()
+        try:
+            stored = self.stored
             for id_, producer, seq in events:
                 if id_ in stored:
                     self.duplicate_count += 1
                 else:
                     stored[id_] = (producer, seq)
-                if file is not None:
-                    file.write(id_ + "\n")
             self.insertions += len(events)
+            if self._file is not None:
+                self._file.write("".join([event[0] + "\n" for event in events]))
+        finally:
+            lock.release()
 
     def close(self) -> None:
         if self._file is not None:
@@ -365,7 +380,9 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         start = time.perf_counter()
         schedule(cfg, topic, producers, assignments, drain, clock)
         rounds = cfg.events_per_producer
-        while sum(drain(partitions) for partitions in assignments):
+        # One round of the tail drains every consumer's partitions in turn.
+        owned = [p for partitions in assignments for p in partitions]
+        while drain(owned):
             rounds += 1
         # Virtual time counts one millisecond per round.
         elapsed = rounds / 1000 if cfg.deterministic else time.perf_counter() - start
@@ -420,18 +437,19 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> None:
 def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> None:
     """Round-robin on one thread against the virtual clock.
 
-    Each round every producer publishes one event, every consumer drains,
-    and the clock ticks one millisecond.
+    Each round every producer publishes one event, every consumer drains in
+    turn (one drain call over their partitions in consumer order), and the
+    clock ticks one millisecond.
     """
     # Bound once per run: a tracer or a patch installed before the run still applies.
-    publish = topic.publish
+    publish, advance = topic.publish, clock.advance
     makers = [producer.make_event for producer in producers]
+    owned = [p for partitions in assignments for p in partitions]
     for seq in range(cfg.events_per_producer):
         for make_event in makers:
             publish(make_event(seq))
-        for partitions in assignments:
-            drain(partitions)
-        clock.advance(1)
+        drain(owned)
+        advance(1)
     topic.close()
 
 

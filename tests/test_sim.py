@@ -120,6 +120,25 @@ def test_publish_after_close():
         topic.publish(make_event("A" * 26))
 
 
+def test_a_raising_call_releases_its_lock():
+    # publish and store take their lock by hand; the release must sit in a
+    # finally, or the next call on the same object blocks for ever.
+    topic = Topic("t", 1)
+    topic.close()
+    with pytest.raises(TopicClosed):
+        topic.publish(make_event("A" * 26))
+    assert not topic._lock.locked()
+    assert topic.committed(0) == 0
+
+    sink = Sink()
+    with pytest.raises(ValueError):
+        sink.store([("A" * 26, 0)])  # two fields where an event has three
+    assert not sink._lock.locked()
+    sink.store([make_event("B" * 26)])
+    assert sink.insertions == 1
+    assert "B" * 26 in sink.stored
+
+
 
 class StalledLogs(list):
     """Partition logs whose lookup calls ``stall`` first."""
@@ -298,6 +317,41 @@ def test_consumers_sharing_partitions_store_every_event_once():
     assert sink.insertions == len(sink.stored) == 8000
     assert sink.duplicate_count == 0
     assert sorted(sink.stored.values()) == [(p, s) for p in range(4) for s in range(2000)]
+
+
+class SwitchingId(str):
+    """An id whose hash yields the GIL, so another thread can run between a
+    store's membership check and its insert."""
+
+    def __hash__(self):
+        time.sleep(0)
+        return str.__hash__(self)
+
+
+def test_concurrent_stores_count_duplicates_exactly():
+    # Four threads store the same 2,000 events in batches of 7: every event
+    # is inserted four times, once as new and three times as a duplicate.
+    events = [make_event(SwitchingId(f"{seq:026d}"), 0, seq) for seq in range(2000)]
+    batches = [events[i : i + 7] for i in range(0, len(events), 7)]
+    sink = Sink()
+    started = threading.Barrier(4)
+
+    def store_all():
+        started.wait(5)
+        for batch in batches:
+            sink.store(batch)
+
+    def run():
+        threads = [threading.Thread(target=store_all, daemon=True) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+    _with_switch_interval(run)
+    assert sink.insertions == 8000
+    assert len(sink.stored) == 2000
+    assert sink.duplicate_count == 6000
 
 
 def test_consumer_stops_only_after_a_drain_that_began_after_close(monkeypatch):
