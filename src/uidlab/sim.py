@@ -174,8 +174,8 @@ class Sink:
     """Uniqueness-checking event store standing in for the database.
 
     Counts every insertion whose identifier was already present. Optionally
-    writes each identifier to a file, one per line; the file is overwritten,
-    so it holds one run's identifiers.
+    writes each identifier to a file, one per line and one write per batch;
+    the file is overwritten, so it holds one run's identifiers.
     """
 
     def __init__(self, persist_path=None):
@@ -437,9 +437,9 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> None:
 def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> None:
     """Round-robin on one thread against the virtual clock.
 
-    Each round every producer publishes one event, every consumer drains in
-    turn (one drain call over their partitions in consumer order), and the
-    clock ticks one millisecond.
+    Each round every producer publishes one event, one drain call takes a
+    batch from every partition in consumer order, and the clock ticks one
+    millisecond.
     """
     # Bound once per run: a tracer or a patch installed before the run still applies.
     publish, advance = topic.publish, clock.advance

@@ -114,15 +114,8 @@ def test_accessors_reject_unknown_partition(accessor, partition):
 
 
 def test_publish_after_close():
-    topic = Topic("t", 1)
-    topic.close()
-    with pytest.raises(TopicClosed):
-        topic.publish(make_event("A" * 26))
-
-
-def test_a_raising_call_releases_its_lock():
-    # publish and store take their lock by hand; the release must sit in a
-    # finally, or the next call on the same object blocks for ever.
+    # publish raises while it holds the lock, which it takes by hand: the
+    # release must sit in a finally, or the next locked call blocks for ever.
     topic = Topic("t", 1)
     topic.close()
     with pytest.raises(TopicClosed):
@@ -130,6 +123,8 @@ def test_a_raising_call_releases_its_lock():
     assert not topic._lock.locked()
     assert topic.committed(0) == 0
 
+
+def test_a_raising_store_releases_its_lock():
     sink = Sink()
     with pytest.raises(ValueError):
         sink.store([("A" * 26, 0)])  # two fields where an event has three
