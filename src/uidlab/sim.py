@@ -106,25 +106,27 @@ class Topic:
         self.partitions = partitions
         self._logs: list[list[Event]] = [[] for _ in range(partitions)]
         self._offsets = [0] * partitions
-        # The per-event paths (publish, consume and Sink.store) call acquire()
-        # and release() in try/finally rather than a with block: on CPython
-        # 3.11 that costs about half as much for an uncontended lock.
+        # consume and Sink.store call acquire() and release() in try/finally
+        # rather than a with block: on CPython 3.11 that costs about half as
+        # much for an uncontended lock. publish keeps the with block. The
+        # interpreter may switch threads when a call such as acquire()
+        # returns, and publish's locked section has no other such point, so
+        # only the with block keeps a producer from being switched out while
+        # it holds the lock; with acquire() eight threaded producers convoyed
+        # (8P/4C runs two to four times slower). consume and store already
+        # have such a point inside (the min() call, the loop).
         self._lock = threading.Lock()
         self._closed = False
 
     def publish(self, event: Event) -> tuple[int, int]:
         """Append atomically; returns (partition, offset)."""
         p = partition_for(event.id, self.partitions)
-        lock = self._lock
-        lock.acquire()
-        try:
+        with self._lock:
             if self._closed:
                 raise TopicClosed(f"topic {self.name!r} is closed")
             log = self._logs[p]
             log.append(event)
             return p, len(log) - 1
-        finally:
-            lock.release()
 
     def _check_partition(self, partition: int) -> None:
         if not 0 <= partition < self.partitions:
@@ -365,9 +367,13 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         ]
 
         consume, store = topic.consume, sink.store
+        owned = [p for partitions in assignments for p in partitions]
 
-        def drain(partitions) -> int:
-            """Store one batch from each partition; return the events moved."""
+        def drain(partitions=owned) -> int:
+            """Store one batch from each partition; return the events moved.
+
+            By default a round: every partition, in consumer order.
+            """
             moved = 0
             for p in partitions:
                 batch = consume(p)
@@ -380,9 +386,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         start = time.perf_counter()
         schedule(cfg, topic, producers, assignments, drain, clock)
         rounds = cfg.events_per_producer
-        # One round of the tail drains every consumer's partitions in turn.
-        owned = [p for partitions in assignments for p in partitions]
-        while drain(owned):
+        while drain():
             rounds += 1
         # Virtual time counts one millisecond per round.
         elapsed = rounds / 1000 if cfg.deterministic else time.perf_counter() - start
@@ -444,11 +448,10 @@ def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> None:
     # Bound once per run: a tracer or a patch installed before the run still applies.
     publish, advance = topic.publish, clock.advance
     makers = [producer.make_event for producer in producers]
-    owned = [p for partitions in assignments for p in partitions]
     for seq in range(cfg.events_per_producer):
         for make_event in makers:
             publish(make_event(seq))
-        drain(owned)
+        drain()
         advance(1)
     topic.close()
 

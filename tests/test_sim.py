@@ -114,8 +114,8 @@ def test_accessors_reject_unknown_partition(accessor, partition):
 
 
 def test_publish_after_close():
-    # publish raises while it holds the lock, which it takes by hand: the
-    # release must sit in a finally, or the next locked call blocks for ever.
+    # publish raises while it holds the lock; the lock must be free afterwards,
+    # or the next locked call blocks for ever.
     topic = Topic("t", 1)
     topic.close()
     with pytest.raises(TopicClosed):
