@@ -24,7 +24,8 @@ import time
 from dataclasses import dataclass
 
 from . import codec
-from .core import ClockSource, IdScheme, RandomSource, id_generator
+from .codec import serialized_size
+from .core import _MAX_SLEEP_S, ClockSource, IdScheme, RandomSource, ZeroDuration, bandwidth_mbps, id_generator
 
 __all__ = [
     "CSV_HEADER",
@@ -59,10 +60,6 @@ HEADLINE_RATIO_NOTE = (
 )
 
 
-class ZeroDuration(ValueError):
-    """Bandwidth over a non-positive time span is undefined."""
-
-
 class TimerResolutionTooCoarse(RuntimeError):
     """A whole batch ran between two identical timer readings; raise ids_per_sample."""
 
@@ -73,12 +70,6 @@ class EmptyInput(ValueError):
 
 class MalformedMetrics(ValueError):
     """A metrics CSV did not match the expected schema."""
-
-
-# Longest interval, in seconds, that the samplers and producers may sleep.
-# time.sleep raises OverflowError far above it (1e300 s) and OSError already
-# at threading.TIMEOUT_MAX on some hosts, so the cap leaves a wide margin.
-_MAX_SLEEP_S = 1e9
 
 
 @dataclass
@@ -147,24 +138,6 @@ class SimulatedTimer:
     def __call__(self) -> int:
         self._now_ns += self.step_ns
         return self._now_ns
-
-
-def serialized_size(scheme: IdScheme, bytes_per_char: int) -> int:
-    """Bytes one serialized identifier occupies on the wire.
-
-    26 or 36 characters times the character width: ULID is 52 bytes and a
-    UUID 72 bytes at two bytes per character, 26 and 36 at one.
-    """
-    if bytes_per_char not in (1, 2):
-        raise ValueError("bytes_per_char must be 1 or 2")
-    return scheme.text_length * bytes_per_char
-
-
-def bandwidth_mbps(payload_bits: int, elapsed_seconds: float) -> float:
-    """payload_bits / elapsed_seconds / 1e6."""
-    if elapsed_seconds <= 0:
-        raise ZeroDuration(f"elapsed time must be positive, got {elapsed_seconds}")
-    return payload_bits / elapsed_seconds / 1e6
 
 
 def run_generation_bench(

@@ -8,9 +8,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import codec
-from . import collision
 from . import sim as sim_mod
 from .core import (
     IdScheme,
@@ -24,10 +22,9 @@ from .core import (
 __all__ = ["main"]
 
 # A run that fails with one of these exits 1 with an "error:" line; any other
-# exception is a crash and keeps its traceback.
-_RUN_ERRORS = (
-    OSError, ValueError, RandomOverflow, bench_mod.TimerResolutionTooCoarse, sim_mod.EventCountMismatch
-)
+# exception is a crash and keeps its traceback. bench and collision are
+# imported by the commands that use them, so the other commands start faster.
+_RUN_ERRORS = (OSError, ValueError, RandomOverflow, sim_mod.EventCountMismatch)
 
 
 def _scheme_arg(text: str) -> IdScheme:
@@ -95,6 +92,8 @@ def _cmd_decode(args, parser) -> int:
 
 
 def _cmd_model(args, parser) -> int:
+    from . import collision
+
     if args.table:
         table = collision.risk_table()
         if args.csv:
@@ -118,6 +117,8 @@ def _cmd_model(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
+    from . import bench as bench_mod
+
     cfg = _usage(
         parser,
         bench_mod.BenchConfig,
@@ -174,11 +175,13 @@ def _infer_scheme(path: str) -> IdScheme | None:
 
 
 def _cmd_report(args, parser) -> int:
+    from . import bench as bench_mod
+
     rows = []
     for path in args.inputs:
         summary = bench_mod.summarize(bench_mod.read_metrics_csv(path))
         scheme = _infer_scheme(path)
-        size = bench_mod.serialized_size(scheme, args.bytes_per_char) if scheme else None
+        size = codec.serialized_size(scheme, args.bytes_per_char) if scheme else None
         label = scheme.cli_name if scheme else Path(path).stem
         rows.append((label, summary.duration_micros.mean, summary.bandwidth_mbps.mean, size))
 
@@ -269,12 +272,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bench_errors() -> tuple:
+    """bench's run error, if a command has imported bench; no other command raises it."""
+    bench_mod = sys.modules.get(f"{__package__}.bench")
+    return (bench_mod.TimerResolutionTooCoarse,) if bench_mod else ()
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
-    except _RUN_ERRORS as exc:
+    except _RUN_ERRORS + _bench_errors() as exc:  # evaluated only once a run has raised
         if isinstance(exc, BrokenPipeError):  # the exit-time flush must not hit the closed pipe again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)

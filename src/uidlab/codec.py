@@ -165,3 +165,14 @@ def decode(text: str) -> Uid128:
     if len(text) == UUID_TEXT_LENGTH:
         return uuid_parse(text)
     raise InvalidLength(f"{text!r} is neither 26 (ULID) nor 36 (UUID) characters")
+
+
+def serialized_size(scheme: IdScheme, bytes_per_char: int) -> int:
+    """Bytes one serialized identifier occupies on the wire.
+
+    26 or 36 characters times the character width: ULID is 52 bytes and a
+    UUID 72 bytes at two bytes per character, 26 and 36 at one.
+    """
+    if bytes_per_char not in (1, 2):
+        raise ValueError("bytes_per_char must be 1 or 2")
+    return scheme.text_length * bytes_per_char

@@ -71,6 +71,11 @@ _VARIANT_SHIFT = 62
 _V4_FIXED = (0x4 << _VERSION_SHIFT) | (0b10 << _VARIANT_SHIFT)
 _V7_FIXED = (0x7 << _VERSION_SHIFT) | (0b10 << _VARIANT_SHIFT)
 
+# Longest interval, in seconds, that the samplers and producers may sleep.
+# time.sleep raises OverflowError far above it (1e300 s) and OSError already
+# at threading.TIMEOUT_MAX on some hosts, so the cap leaves a wide margin.
+_MAX_SLEEP_S = 1e9
+
 
 class RandomOverflow(Exception):
     """The 80-bit random component is exhausted for the current millisecond.
@@ -83,6 +88,10 @@ class RandomOverflow(Exception):
 
 class UnsupportedScheme(ValueError):
     """The requested field does not exist for this identifier scheme."""
+
+
+class ZeroDuration(ValueError):
+    """Bandwidth over a non-positive time span is undefined."""
 
 
 class IdScheme(enum.Enum):
@@ -324,3 +333,10 @@ def version_of(value: Uid128) -> int:
 def variant_bits_of(value: Uid128) -> int:
     """Top two bits of octet 8 (the RFC variant field for UUID layouts)."""
     return (value >> _VARIANT_SHIFT) & 0b11
+
+
+def bandwidth_mbps(payload_bits: int, elapsed_seconds: float) -> float:
+    """payload_bits / elapsed_seconds / 1e6."""
+    if elapsed_seconds <= 0:
+        raise ZeroDuration(f"elapsed time must be positive, got {elapsed_seconds}")
+    return payload_bits / elapsed_seconds / 1e6

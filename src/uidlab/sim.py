@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from . import codec
 from .core import (
+    _MAX_SLEEP_S,
     FixedClock,
     IdScheme,
     MonotonicState,
@@ -31,9 +32,9 @@ from .core import (
     SeededEntropy,
     SystemClock,
     UnsupportedScheme,
+    bandwidth_mbps,
     id_generator,
 )
-from .bench import _MAX_SLEEP_S, bandwidth_mbps, serialized_size
 
 __all__ = [
     "Event",
@@ -187,19 +188,31 @@ class Sink:
         self._file = open(persist_path, "w", encoding="ascii") if persist_path else None
 
     def store(self, events) -> None:
-        """Store one batch, a sized sequence of events."""
+        """Store one batch, a sized sequence of events.
+
+        A batch that raises, say on a malformed event, leaves the counts, the
+        stored ids and the persist file as they were.
+        """
         lock = self._lock
         lock.acquire()
         try:
             stored = self.stored
+            before = len(stored)
+            duplicates = 0
             for id_, producer, seq in events:
                 if id_ in stored:
-                    self.duplicate_count += 1
+                    duplicates += 1
                 else:
                     stored[id_] = (producer, seq)
-            self.insertions += len(events)
             if self._file is not None:
                 self._file.write("".join([event[0] + "\n" for event in events]))
+            self.duplicate_count += duplicates
+            self.insertions += len(events)
+        except BaseException:
+            # A dict pops its newest item first, so this drops exactly the batch's new ids.
+            for _ in range(len(stored) - before):
+                stored.popitem()
+            raise
         finally:
             lock.release()
 
@@ -467,7 +480,7 @@ def _build_report(cfg, topic, sink, producers, elapsed) -> SimReport:
     else:
         ordering_checked, ordering_violations = False, 0
     # Two bytes per character: 52 bytes per ULID, 72 per UUID.
-    payload_bits = sink.insertions * serialized_size(cfg.scheme, 2) * 8
+    payload_bits = sink.insertions * codec.serialized_size(cfg.scheme, 2) * 8
     return SimReport(
         scheme=cfg.scheme,
         producers=cfg.producers,

@@ -56,11 +56,16 @@ def test_gen_monotonic_sorted_output(capsys):
     assert len(set(lines)) == 50
 
 
+def _cold_env():
+    """Environment for a fresh interpreter that imports this uidlab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _gen_into_pipe(close_pipe):
     """Run ``gen --scheme uuidv4 --count 100000`` with stdout on a pipe that
     ``close_pipe(stdout)`` reads from and closes; return the exit status and stderr."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _cold_env()
     env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as from a plain shell
     proc = subprocess.Popen(
         [sys.executable, "-m", "uidlab.cli", "gen", "--scheme", "uuidv4", "--count", "100000"],
@@ -283,6 +288,34 @@ def test_bench_virtual_time_replays(capsys, tmp_path):
         return path.read_text()
 
     assert run("a.csv") == run("b.csv")
+
+
+def test_bench_with_a_too_coarse_timer_exits_one_with_an_error_line(capsys, monkeypatch, tmp_path):
+    from uidlab import bench
+
+    def coarse(cfg, **kwargs):
+        raise bench.TimerResolutionTooCoarse("batch of 10 finished within one timer tick")
+
+    monkeypatch.setattr(bench, "run_generation_bench", coarse)
+    status, out, err = run_cli(capsys, "bench", "--scheme", "ulid", "--out", str(tmp_path / "m.csv"))
+    assert status == 1
+    assert err == "error: batch of 10 finished within one timer tick\n"
+    assert out == ""
+
+
+def test_commands_that_import_on_use_run_from_a_cold_start(tmp_path):
+    # model imports collision, and bench and report import bench, only when they run.
+    metrics = str(tmp_path / "metrics_ULID.csv")
+    for argv in (
+        ["model", "--bits", "80", "--count", "1000"],
+        ["bench", "--scheme", "ulid", "--virtual-time", "--samples", "2", "--ids-per-sample", "10", "--out", metrics],
+        ["report", "--in", metrics],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "uidlab.cli", *argv], env=_cold_env(), capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, (argv, result.stderr)
+        assert result.stdout
 
 
 def test_sim_clean_run_exits_zero(capsys):

@@ -317,13 +317,39 @@ def test_system_entropy_is_one_fresh_urandom_call_per_draw(monkeypatch):
         assert drawn == reference.getrandbits(k)
 
 
-def test_import_loads_no_secrets_or_hashlib():
+def _cold_python(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter that imports this uidlab; return its output lines."""
     src = str(Path(core.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, uidlab, uidlab.cli; print(sorted({'secrets', 'hashlib'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.splitlines()
+
+
+def test_import_loads_no_secrets_or_hashlib():
+    code = "import sys, uidlab, uidlab.cli; print(sorted({'secrets', 'hashlib'} & set(sys.modules)))"
+    assert _cold_python(code) == ["[]"]
+
+
+def test_import_loads_collision_and_bench_on_first_use():
+    code = "\n".join([
+        "import sys, uidlab, uidlab.cli",
+        "print(sorted({'uidlab.bench', 'uidlab.collision', 'decimal'} & set(sys.modules)))",
+        "got = [uidlab.BenchConfig, uidlab.collision, uidlab.collision_prob, uidlab.bench]",
+        "bench, collision = sys.modules['uidlab.bench'], sys.modules['uidlab.collision']",
+        "print([a is b for a, b in zip(got, [bench.BenchConfig, collision, collision.collision_prob, bench])])",
+        "namespace = {}",
+        "exec('from uidlab import *', namespace)",
+        "print([name for name in uidlab.__all__ if namespace.get(name) is not getattr(uidlab, name)])",
+    ])
+    assert _cold_python(code) == ["[]", "[True, True, True, True]", "[]"]
+
+
+def test_unknown_package_name_raises_attribute_error():
+    import uidlab
+
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        uidlab.no_such_name
 
 
 def test_generators_replay_under_one_seed():

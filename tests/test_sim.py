@@ -134,6 +134,28 @@ def test_a_raising_store_releases_its_lock():
     assert "B" * 26 in sink.stored
 
 
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [make_event("A" * 26), ("B" * 26, 0)],
+        [make_event("C" * 26), make_event("Z" * 26), make_event("C" * 26), ("B" * 26, 0)],
+    ],
+    ids=["new-id-then-bad-event", "duplicates-then-bad-event"],
+)
+def test_a_raising_store_leaves_the_sink_unchanged(tmp_path, batch):
+    path = tmp_path / "ids.txt"
+    sink = Sink(path)
+    sink.store([make_event("Z" * 26, 1, 0)])
+    with pytest.raises(ValueError):
+        sink.store(batch)
+    assert (sink.stored, sink.duplicate_count, sink.insertions) == ({"Z" * 26: (1, 0)}, 0, 1)
+    assert not sink._lock.locked()
+    sink.store([make_event("D" * 26)])
+    sink.close()
+    assert (list(sink.stored), sink.duplicate_count, sink.insertions) == (["Z" * 26, "D" * 26], 0, 2)
+    assert path.read_text() == "Z" * 26 + "\n" + "D" * 26 + "\n"
+
+
 
 class StalledLogs(list):
     """Partition logs whose lookup calls ``stall`` first."""
