@@ -49,3 +49,7 @@ def __getattr__(name):
     if name != module:
         value = globals()[name] = getattr(value, name)
     return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})

@@ -335,6 +335,7 @@ def test_import_loads_collision_and_bench_on_first_use():
     code = "\n".join([
         "import sys, uidlab, uidlab.cli",
         "print(sorted({'uidlab.bench', 'uidlab.collision', 'decimal'} & set(sys.modules)))",
+        "print(sorted({'bench', 'collision', *uidlab.__all__} - set(dir(uidlab))))",
         "got = [uidlab.BenchConfig, uidlab.collision, uidlab.collision_prob, uidlab.bench]",
         "bench, collision = sys.modules['uidlab.bench'], sys.modules['uidlab.collision']",
         "print([a is b for a, b in zip(got, [bench.BenchConfig, collision, collision.collision_prob, bench])])",
@@ -342,7 +343,7 @@ def test_import_loads_collision_and_bench_on_first_use():
         "exec('from uidlab import *', namespace)",
         "print([name for name in uidlab.__all__ if namespace.get(name) is not getattr(uidlab, name)])",
     ])
-    assert _cold_python(code) == ["[]", "[True, True, True, True]", "[]"]
+    assert _cold_python(code) == ["[]", "[]", "[True, True, True, True]", "[]"]
 
 
 def test_unknown_package_name_raises_attribute_error():
