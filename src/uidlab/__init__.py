@@ -18,8 +18,9 @@ from .core import *
 from .codec import *
 from .sim import *
 
-# The __all__ of each lazy module, read through the module __getattr__ below
-# (PEP 562) so that a caller that never uses them does not compile them.
+# The __all__ of each lazy module (tests/test_demos.py checks that they match),
+# served by the module __getattr__ below (PEP 562) so that a caller that never
+# uses collision or bench does not compile them.
 _LAZY = {
     "collision": (
         "MIN_BITS", "MAX_BITS", "EXACT_MAX_BITS", "DEFAULT_RATES", "CollisionQuery", "Probability",
