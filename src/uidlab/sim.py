@@ -172,8 +172,9 @@ class Sink:
     """Uniqueness-checking event store standing in for the database.
 
     Counts every insertion whose identifier was already present. Optionally
-    writes each identifier to a file, one per line and one write per batch;
-    the file is overwritten, so it holds one run's identifiers.
+    writes each identifier to a file, one per line and one write per batch
+    (a run's drain stores all it took as one batch); the file is
+    overwritten, so it holds one run's identifiers.
     """
 
     def __init__(self, persist_path=None):
@@ -309,21 +310,30 @@ def verify_ordering(partition_logs, scheme: IdScheme) -> int:
     string order matching sequence order (the codecs preserve numeric order,
     so string comparison is the time comparison). Each event is compared with
     the producer's previous one in that partition, on the scheme's ordered
-    prefix only: UUIDv7 ids of one millisecond may come in any order.
+    prefix only: UUIDv7 ids of one millisecond may come in any order. A
+    ULID's ordered prefix is the whole id, which is compared unsliced.
     UUIDv4 has no ordering claim to check and is rejected.
     """
     if not scheme.time_ordered:
         raise UnsupportedScheme("ordering verification needs a time-ordered scheme")
     n = scheme.ordered_chars
+    whole = n == scheme.text_length
     violations = 0
     for log in partition_logs:
         last_seen: dict[int, str] = {}
-        for id_, producer, _seq in log:
-            prefix = id_[:n]
-            prev = last_seen.get(producer)
-            if prev is not None and prefix < prev:
-                violations += 1
-            last_seen[producer] = prefix
+        get = last_seen.get
+        # "" sorts below every id, so a producer's first event never counts.
+        if whole:
+            for id_, producer, _seq in log:
+                if id_ < get(producer, ""):
+                    violations += 1
+                last_seen[producer] = id_
+        else:
+            for id_, producer, _seq in log:
+                prefix = id_[:n]
+                if prefix < get(producer, ""):
+                    violations += 1
+                last_seen[producer] = prefix
     return violations
 
 
@@ -382,17 +392,19 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         owned = [p for partitions in assignments for p in partitions]
 
         def drain(partitions=owned) -> int:
-            """Store one batch from each partition; return the events moved.
+            """Take one batch from each partition and store them in one call.
 
-            By default a round: every partition, in consumer order.
+            By default a round: every partition, in consumer order. The
+            batches keep that order in the stored batch, so one sink lock
+            and one persist write serve the whole drain. Returns the events
+            moved.
             """
-            moved = 0
+            batch: list[Event] = []
             for p in partitions:
-                batch = consume(p)
-                if batch:
-                    store(batch)
-                    moved += len(batch)
-            return moved
+                batch += consume(p)
+            if batch:
+                store(batch)
+            return len(batch)
 
         schedule = _schedule_rounds if cfg.deterministic else _schedule_threads
         start = time.perf_counter()

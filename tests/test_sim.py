@@ -5,6 +5,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uidlab import codec, core, sim
 from uidlab.codec import ulid_decode, ulid_encode, uuid_format
@@ -523,7 +525,10 @@ def test_deterministic_run_calls_every_traced_entry_point(monkeypatch):
     for name in ("next_bits", "next_monotonic_ulid", "ulid_encode", "partition_for", "publish"):
         assert calls[name] == 1000, name
     assert calls["verify_ordering"] == 1
-    assert calls["store"] == calls["consume non-empty"] > 0
+    # Each round's drain stores its batches in one call; the tail drain
+    # after the last round finds every partition empty and stores nothing.
+    assert calls["consume non-empty"] == 442
+    assert calls["store"] == 125
 
 
 def test_full_drain_conserves_multiset():
@@ -594,6 +599,44 @@ def test_verify_ordering_counts_every_reversed_pair():
     b = _monotonic_stream(1, 50, seed=2, clock=FixedClock(10))[::-1]
     interleaved = [x for pair in zip(a, b) for x in pair]
     assert verify_ordering([interleaved], IdScheme.ULID) == 98
+
+
+def _naive_violations(partition_logs, ordered_chars):
+    """Events whose ordered prefix sorts below the producer's previous one in its partition."""
+    count = 0
+    for log in partition_logs:
+        for i, event in enumerate(log):
+            earlier = [e for e in log[:i] if e.producer == event.producer]
+            if earlier and event.id[:ordered_chars] < earlier[-1].id[:ordered_chars]:
+                count += 1
+    return count
+
+
+# Values from a few milliseconds with mostly tiny random parts, so equal
+# timestamps, equal ids and reversed pairs all come up often.
+_ORDERING_VALUES = st.builds(
+    lambda millis, rand: millis << 80 | rand,
+    st.integers(0, 3),
+    st.integers(0, 3) | st.integers(0, RANDOM80_MAX),
+)
+
+
+@pytest.mark.parametrize("scheme", [IdScheme.ULID, IdScheme.UUID_V7], ids=lambda s: s.cli_name)
+@settings(deadline=None)
+@given(logs=st.lists(st.lists(st.tuples(_ORDERING_VALUES, st.integers(0, 2)), max_size=30), max_size=4))
+@example(logs=[])
+@example(logs=[[]])
+@example(logs=[[(1 << 80 | r, 0) for r in range(5)]])  # one producer, in order
+@example(logs=[[(m << 80 | r, 0) for m in (3, 1) for r in (2, 1)]])  # one producer, reversed
+@example(logs=[[(1 << 80 | 5, 0), (1 << 80 | 2, 0)], [(2 << 80, 1), (2 << 80, 1)]])  # equal prefixes
+def test_verify_ordering_matches_a_naive_count(scheme, logs):
+    # ULID compares whole ids, UUIDv7 only its 13-character millisecond
+    # prefix, under which the equal-prefix example counts nothing.
+    encode = ulid_encode if scheme is IdScheme.ULID else uuid_format
+    partition_logs = [
+        [make_event(encode(value), producer, seq) for seq, (value, producer) in enumerate(log)] for log in logs
+    ]
+    assert verify_ordering(partition_logs, scheme) == _naive_violations(partition_logs, scheme.ordered_chars)
 
 
 def _uuidv7_text(millis, seed):
@@ -671,6 +714,30 @@ def test_deterministic_uuidv7_ordering_clean():
     assert report.conserved
 
 
+@pytest.mark.parametrize("consumers", [1, 2])
+def test_threaded_consumers_owning_several_partitions_store_every_event_once(tmp_path, consumers):
+    # Each consumer owns four or two of the four partitions, so one drain
+    # stores the batches of several partitions in one call.
+    path = tmp_path / "stored.txt"
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=4,
+        events_per_producer=2000,
+        partitions=4,
+        consumers=consumers,
+        seed=29,
+        persist_path=str(path),
+    )
+    reports = []
+    _with_switch_interval(lambda: reports.append(run_simulation(cfg)))
+    (report,) = reports
+    assert report.conserved
+    assert report.events_total == report.unique_ids == 8000
+    assert report.duplicate_count == 0
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(set(lines)) == 8000
+
+
 def test_threaded_run_integrity():
     cfg = SimConfig(
         scheme=IdScheme.ULID,
@@ -704,6 +771,19 @@ def test_threaded_uuidv7_run_has_no_ordering_violations():
     assert report.conserved
 
 
+def _record_sinks(monkeypatch):
+    """Make run_simulation's sinks a subclass that lists its instances; return the list."""
+    sinks = []
+
+    class RecordingSink(Sink):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sinks.append(self)
+
+    monkeypatch.setattr(sim, "Sink", RecordingSink)
+    return sinks
+
+
 def _fail_at(monkeypatch, producer, seq):
     make_event = _Producer.make_event
 
@@ -718,14 +798,7 @@ def _fail_at(monkeypatch, producer, seq):
 @pytest.mark.parametrize("deterministic", [False, True], ids=["threaded", "deterministic"])
 def test_worker_crash_raises_and_closes_sink(monkeypatch, tmp_path, deterministic):
     _fail_at(monkeypatch, producer=1, seq=10)
-    sinks = []
-
-    class RecordingSink(Sink):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            sinks.append(self)
-
-    monkeypatch.setattr(sim, "Sink", RecordingSink)
+    sinks = _record_sinks(monkeypatch)
     cfg = SimConfig(
         scheme=IdScheme.ULID,
         producers=2,
@@ -864,3 +937,37 @@ def test_golden_deterministic_replay(scheme, tmp_path):
     )
     assert run_simulation(cfg) == expected
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# Digests of the benchmark's sim-det-ulid run: 8 producers x 125 events over
+# 4 partitions and 4 consumers, seed 1. The first is of the persist file, the
+# second of the sink's stored ids in insertion order as "id,producer,seq"
+# lines. A change to either breaks replay compatibility with earlier versions.
+BENCHMARK_SHAPE_DIGESTS = (
+    "ad3ebd67cb0a1d726ede3aa85a1a40db62fb0ffef4adea076c96164d04475750",
+    "fc36fb5819c93c85bf8cda496c1c8f8d57377e5c4d981faa2fe8d2e89520b0a3",
+)
+
+
+def test_golden_deterministic_replay_at_the_benchmark_shape(monkeypatch, tmp_path):
+    sinks = _record_sinks(monkeypatch)
+    path = tmp_path / "stored.txt"
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=8,
+        events_per_producer=125,
+        partitions=4,
+        consumers=4,
+        seed=1,
+        deterministic=True,
+        persist_path=str(path),
+    )
+    report = run_simulation(cfg)
+    assert report.conserved and report.unique_ids == 1000 and report.ordering_violations == 0
+    (sink,) = sinks
+    stored = "".join(f"{id_},{producer},{seq}\n" for id_, (producer, seq) in sink.stored.items())
+    digests = (
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+        hashlib.sha256(stored.encode("ascii")).hexdigest(),
+    )
+    assert digests == BENCHMARK_SHAPE_DIGESTS
