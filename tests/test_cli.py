@@ -9,7 +9,8 @@ import pytest
 
 from uidlab import cli
 from uidlab import sim as sim_mod
-from uidlab.bench import CSV_HEADER
+from uidlab.bench import CSV_HEADER, HEADLINE_RATIO_NOTE
+from uidlab.collision import UUIDV4_TABLE_NOTE
 
 
 def run_cli(capsys, *argv):
@@ -500,3 +501,97 @@ def test_report_refuses_durations_it_cannot_divide_by(capsys, tmp_path, duration
     assert "error" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+# --- golden output -------------------------------------------------------------
+
+_SIM = ["sim", "--producers", "3", "--events", "40", "--seed", "5", "--deterministic"]
+_SIM_HEADER = (
+    "scheme,producers,partitions,events_total,consumed_total,stored_total,unique_ids,"
+    "duplicate_count,ordering_violations,overflow_waits,elapsed_seconds,effective_mbps\n"
+)
+
+
+def _sim_text(scheme, partitions, mbps, ordering=True):
+    return (
+        f"scheme              {scheme}\n"
+        "producers           3\n"
+        f"partitions          {partitions}\n"
+        "events published    120\n"
+        "events consumed     120\n"
+        "events stored       120\n"
+        "unique ids          120\n"
+        "duplicate count     0\n"
+        + ("ordering violations 0\n" if ordering else "")
+        + "elapsed seconds     0.040000 (virtual)\n"
+        f"effective mbps      {mbps} (virtual)\n"
+    )
+
+
+_RISK_NOTE = f"note: {UUIDV4_TABLE_NOTE}\n"
+_RISK_TEXT = (
+    "        rate    uuidv4    uuidv7      ulid\n"
+    "        1000   9.4e-32   2.6e-17   4.1e-19\n"
+    "     1000000   9.4e-26   2.6e-11   4.1e-13\n"
+    "  1000000000   9.4e-20    2.6e-5    4.1e-7\n"
+)
+_RISK_CSV = (
+    "rate,uuidv4,uuidv7,ulid\n"
+    "1000,9.4e-32,2.6e-17,4.1e-19\n"
+    "1000000,9.4e-26,2.6e-11,4.1e-13\n"
+    "1000000000,9.4e-20,2.6e-5,4.1e-7\n"
+)
+_REPORT = (
+    "scheme         mean durationMicros    mean bandwidthMbps  bytes/id\n"
+    "ulid                      0.100000           4160.000000        52\n"
+    "uuidv7                    0.100000           5760.000000        72\n"
+    "ulid                      0.100000           4160.000000        52\n"
+    "ulid vs uuidv7: generation speedup 1x, size reduction 27.8%\n"
+    "ulid vs ulid: generation speedup 1x, size reduction 0.0%\n"
+    "uuidv7 vs ulid: generation speedup 1x, size reduction -38.5%\n"
+    f"note: {HEADLINE_RATIO_NOTE}\n"
+)
+_UUIDV7 = ["--scheme", "uuidv7", "--partitions", "3", "--consumers", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, out, err",
+    [
+        pytest.param([*_SIM, "--scheme", "ulid"], _sim_text("ulid", 4, "1.248000"), "", id="sim-ulid"),
+        pytest.param(
+            [*_SIM, "--scheme", "ulid", "--csv"],
+            _SIM_HEADER + "ulid,3,4,120,120,120,120,0,0,0,0.04,1.248\n",
+            "",
+            id="sim-ulid-csv",
+        ),
+        pytest.param([*_SIM, *_UUIDV7], _sim_text("uuidv7", 3, "1.728000"), "", id="sim-uuidv7"),
+        pytest.param(
+            [*_SIM, *_UUIDV7, "--csv"],
+            _SIM_HEADER + "uuidv7,3,3,120,120,120,120,0,0,0,0.04,1.728\n",
+            "",
+            id="sim-uuidv7-csv",
+        ),
+        pytest.param(
+            [*_SIM, "--scheme", "uuidv4"], _sim_text("uuidv4", 4, "1.728000", ordering=False), "", id="sim-uuidv4"
+        ),
+        pytest.param(
+            [*_SIM, "--scheme", "uuidv4", "--csv"],
+            _SIM_HEADER + "uuidv4,3,4,120,120,120,120,0,,0,0.04,1.728\n",
+            "",
+            id="sim-uuidv4-csv",
+        ),
+        pytest.param(["model", "--table"], _RISK_TEXT + _RISK_NOTE, "", id="model-table"),
+        pytest.param(["model", "--table", "--csv"], _RISK_CSV, _RISK_NOTE, id="model-table-csv"),
+        pytest.param(
+            ["report", "--in", "metrics_ULID.csv", "metrics_UUID_V7.csv", "metrics_ULID.csv"], _REPORT, "", id="report"
+        ),
+    ],
+)
+def test_golden_output(capsys, tmp_path, argv, out, err):
+    if argv[0] == "report":  # over virtual-time bench files, one of them given twice
+        for scheme, name in (("ulid", "metrics_ULID.csv"), ("uuidv7", "metrics_UUID_V7.csv")):
+            bench = ["bench", "--scheme", scheme, "--virtual-time", "--seed", "9", "--samples", "8"]
+            assert cli.main([*bench, "--interval-ms", "0", "--ids-per-sample", "10", "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
+    assert run_cli(capsys, *argv) == (0, out, err)
