@@ -15,12 +15,13 @@ from uidlab import (
     count_for_probability,
     exact_no_collision_prob,
     relative_risk,
-    risk_table,
 )
+from uidlab.cli import main as uidlab
 
-# The headline table: collision probability per window at three rates.
-# Note the printed caveat about commonly circulated UUIDv4 figures.
-print(risk_table().render_text())
+# The headline table, as `uidlab model --table` prints it: collision
+# probability per window at three rates. Note the printed caveat about
+# commonly circulated UUIDv4 figures.
+uidlab(["model", "--table"])
 
 # The same numbers are available programmatically at full precision.
 p = collision_prob(CollisionQuery(80, 1000))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -25,6 +24,10 @@ __all__ = ["main"]
 # exception is a crash and keeps its traceback. bench and collision are
 # imported by the commands that use them, so the other commands start faster.
 _RUN_ERRORS = (OSError, ValueError, RandomOverflow, sim_mod.EventCountMismatch)
+
+# Marks a figure counted on a virtual clock (sim --deterministic, bench
+# --virtual-time) in text output; the sim CSV names its clock in a column.
+_VIRTUAL = " (virtual)"
 
 
 def _scheme_arg(text: str) -> IdScheme:
@@ -62,6 +65,18 @@ def _usage(parser, make, *args, **kwargs):
         parser.error(str(exc))
 
 
+def _write(header, rows, csv, widths=()) -> None:
+    """Print ``header`` (when given) and ``rows`` as CSV, or as text columns padded to
+    ``widths``, where a negative width left-aligns. A float reads six decimals in
+    text and in full in CSV; a None cell is empty in CSV."""
+    specs = [("<" if w < 0 else ">") + str(abs(w)) for w in widths]
+    for row in [header, *rows] if header else rows:
+        if csv:
+            print(",".join("" if cell is None else str(cell) for cell in row))
+        else:
+            print("".join(format(c, s + ".6f" if isinstance(c, float) else s) for c, s in zip(row, specs)))
+
+
 def _cmd_gen(args, parser) -> int:
     if args.monotonic and args.scheme is not IdScheme.ULID:
         parser.error("--monotonic requires --scheme ulid")
@@ -94,14 +109,19 @@ def _cmd_decode(args, parser) -> int:
 def _cmd_model(args, parser) -> int:
     from . import collision
 
+    if args.csv and not args.table:
+        parser.error("--csv applies only to --table")
+    if args.table and args.bits is not None:
+        parser.error("--bits applies only to --count and --solve-p")
+    if args.digits is not None and args.count is None:
+        parser.error("--digits applies only to --count")
     if args.table:
         table = collision.risk_table()
-        if args.csv:
-            sys.stdout.write(table.render_csv())
-            for note in table.notes:
-                print(f"note: {note}", file=sys.stderr)
-        else:
-            sys.stdout.write(table.render_text())
+        header = ("rate", *(s.cli_name for s in table.schemes))
+        rows = [(rate, *(table.cell(rate, s).sci(2) for s in table.schemes)) for rate in table.rates]
+        _write(header, rows, args.csv, (12,) + (10,) * len(table.schemes))
+        for note in table.notes:
+            print(f"note: {note}", file=sys.stderr if args.csv else sys.stdout)
         return 0
     if args.bits is None:
         parser.error("--bits is required with --count and --solve-p")
@@ -112,7 +132,7 @@ def _cmd_model(args, parser) -> int:
             print(f"note: {collision.FIFTY_PERCENT_THRESHOLD_NOTES[args.bits]}")
         return 0
     query = _usage(parser, collision.CollisionQuery, args.bits, args.count)
-    print(_usage(parser, collision.collision_prob(query).sci, args.digits))
+    print(_usage(parser, collision.collision_prob(query).sci, args.digits or 2))
     return 0
 
 
@@ -135,9 +155,10 @@ def _cmd_bench(args, parser) -> int:
     bench_mod.write_metrics_csv(samples, out)
     summary = bench_mod.summarize(samples)
     d, b = summary.duration_micros, summary.bandwidth_mbps
+    clock = _VIRTUAL if args.virtual_time else ""
     print(f"wrote {len(samples)} samples to {out}")
-    print(f"durationMicros  mean {d.mean:.6g}  median {d.median:.6g}  p95 {d.p95:.6g}")
-    print(f"bandwidthMbps   mean {b.mean:.6g}")
+    print(f"durationMicros  mean {d.mean:.6g}  median {d.median:.6g}  p95 {d.p95:.6g}{clock}")
+    print(f"bandwidthMbps   mean {b.mean:.6g}{clock}")
     return 0
 
 
@@ -156,10 +177,31 @@ def _cmd_sim(args, parser) -> int:
         persist_path=args.persist,
     )
     report = sim_mod.run_simulation(cfg)
-    text = report.render_csv() if args.csv else report.render_text()
-    if args.deterministic and not args.csv:  # both figures count virtual rounds, not wall time
-        text = re.sub(r"^(elapsed seconds|effective mbps) .*", r"\g<0> (virtual)", text, flags=re.M)
-    sys.stdout.write(text)
+    # One record of (CSV column, text label, value). A None value does not apply:
+    # text leaves it out and CSV leaves its cell empty. clock has no text line;
+    # text marks the timed lines of a virtual-time run instead.
+    record = [
+        ("scheme", "scheme", report.scheme.cli_name),
+        ("producers", "producers", report.producers),
+        ("partitions", "partitions", report.partitions),
+        ("events_total", "events published", report.events_total),
+        ("consumed_total", "events consumed", report.consumed_total),
+        ("stored_total", "events stored", report.stored_total),
+        ("unique_ids", "unique ids", report.unique_ids),
+        ("duplicate_count", "duplicate count", report.duplicate_count),
+        ("ordering_violations", "ordering violations", report.ordering_violations if report.ordering_checked else None),
+        ("overflow_waits", "overflow waits", report.overflow_waits),
+        ("elapsed_seconds", "elapsed seconds", report.elapsed_seconds),
+        ("effective_mbps", "effective mbps", report.effective_mbps),
+        ("clock", None, "virtual" if args.deterministic else "wall"),
+    ]
+    if args.csv:
+        columns, _, values = zip(*record)
+        _write(columns, [values], True)
+    else:  # the record's two floats are its timed figures
+        timed = _VIRTUAL if args.deterministic else ""
+        rows = [(label, v, timed if isinstance(v, float) else "") for _, label, v in record if label and v is not None]
+        _write(None, rows, False, (-20, 0, 0))
     failed = not report.conserved or report.duplicate_count > 0 or (
         report.ordering_checked and report.ordering_violations > 0
     )
@@ -185,10 +227,9 @@ def _cmd_report(args, parser) -> int:
         label = scheme.cli_name if scheme else Path(path).stem
         rows.append((label, summary.duration_micros.mean, summary.bandwidth_mbps.mean, size))
 
-    print(f"{'scheme':<12}{'mean durationMicros':>22}{'mean bandwidthMbps':>22}{'bytes/id':>10}")
-    for label, dur, bw, size in rows:
-        size_text = str(size) if size is not None else "-"
-        print(f"{label:<12}{dur:>22.6f}{bw:>22.6f}{size_text:>10}")
+    header = ("scheme", "mean durationMicros", "mean bandwidthMbps", "bytes/id")
+    table = [(label, dur, bw, "-" if size is None else size) for label, dur, bw, size in rows]
+    _write(header, table, False, (-12, 22, 22, 10))
 
     any_size_gap = False
     for i in range(len(rows)):
@@ -238,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=None)
     mode.add_argument("--count", type=int, default=None)
     mode.add_argument("--solve-p", type=float, default=None, dest="solve_p")
-    p.add_argument("--digits", type=_positive_int, default=2, help="significant digits for single values")
+    p.add_argument("--digits", type=_positive_int, default=None, help="significant digits for --count (default 2)")
 
     p = sub.add_parser("bench", help="measure generation speed and bandwidth")
     p.set_defaults(run=_cmd_bench)

@@ -253,26 +253,6 @@ class RiskTable:
     def cell(self, rate: int, scheme: IdScheme) -> Probability:
         return self.cells[(rate, scheme)]
 
-    def render_text(self) -> str:
-        """Aligned table, one row per rate, plus any discrepancy notes."""
-        header = ["rate".rjust(12)] + [s.cli_name.rjust(10) for s in self.schemes]
-        lines = ["".join(header)]
-        for rate in self.rates:
-            row = [str(rate).rjust(12)]
-            row += [self.cell(rate, s).sci(2).rjust(10) for s in self.schemes]
-            lines.append("".join(row))
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines) + "\n"
-
-    def render_csv(self) -> str:
-        """CSV form: rate column then one probability column per scheme."""
-        lines = ["rate," + ",".join(s.cli_name for s in self.schemes)]
-        for rate in self.rates:
-            cells = ",".join(self.cell(rate, s).sci(2) for s in self.schemes)
-            lines.append(f"{rate},{cells}")
-        return "\n".join(lines) + "\n"
-
 
 def risk_table(rates=None, schemes=None) -> RiskTable:
     """Collision risk per scheme at the given per-window generation rates."""

@@ -48,19 +48,12 @@ __all__ = [
     "partition_for",
     "run_simulation",
     "verify_ordering",
-    "SIM_CSV_HEADER",
 ]
 
 # Epoch for the deterministic mode's virtual clock (fixed, arbitrary).
 _VIRTUAL_EPOCH_MS = 1_700_000_000_000
 
 _CONSUME_BATCH = 256
-
-SIM_CSV_HEADER = (
-    "scheme,producers,partitions,events_total,consumed_total,stored_total,"
-    "unique_ids,duplicate_count,ordering_violations,overflow_waits,"
-    "elapsed_seconds,effective_mbps"
-)
 
 
 class TopicClosed(RuntimeError):
@@ -272,35 +265,6 @@ class SimReport:
     @property
     def conserved(self) -> bool:
         return self.events_total == self.consumed_total == self.stored_total
-
-    def render_text(self) -> str:
-        lines = [
-            f"scheme              {self.scheme.cli_name}",
-            f"producers           {self.producers}",
-            f"partitions          {self.partitions}",
-            f"events published    {self.events_total}",
-            f"events consumed     {self.consumed_total}",
-            f"events stored       {self.stored_total}",
-            f"unique ids          {self.unique_ids}",
-            f"duplicate count     {self.duplicate_count}",
-        ]
-        if self.ordering_checked:
-            lines.append(f"ordering violations {self.ordering_violations}")
-        if self.overflow_waits:
-            lines.append(f"overflow waits      {self.overflow_waits}")
-        lines.append(f"elapsed seconds     {self.elapsed_seconds:.6f}")
-        lines.append(f"effective mbps      {self.effective_mbps:.6f}")
-        return "\n".join(lines) + "\n"
-
-    def render_csv(self) -> str:
-        ordering = str(self.ordering_violations) if self.ordering_checked else ""
-        row = (
-            f"{self.scheme.cli_name},{self.producers},{self.partitions},"
-            f"{self.events_total},{self.consumed_total},{self.stored_total},"
-            f"{self.unique_ids},{self.duplicate_count},{ordering},"
-            f"{self.overflow_waits},{self.elapsed_seconds!r},{self.effective_mbps!r}"
-        )
-        return SIM_CSV_HEADER + "\n" + row + "\n"
 
 
 def verify_ordering(partition_logs, scheme: IdScheme) -> int:

@@ -167,7 +167,7 @@ def test_model_table_values_and_note(capsys):
     status, out, _ = run_cli(capsys, "model", "--table")
     assert status == 0
     assert "9.4e-32" in out and "2.6e-17" in out and "4.1e-19" in out
-    assert "note:" in out and "2.3e-29" in out
+    assert f"note: {UUIDV4_TABLE_NOTE}\n" in out and "2.3e-29" in out
 
 
 def test_model_table_csv_schema(capsys):
@@ -175,8 +175,9 @@ def test_model_table_csv_schema(capsys):
     lines = out.splitlines()
     assert status == 0
     assert lines[0] == "rate,uuidv4,uuidv7,ulid"
+    assert lines[1].startswith("1000,")
     assert len(lines) == 4
-    assert "note:" in err
+    assert err == f"note: {UUIDV4_TABLE_NOTE}\n"
 
 
 def test_model_single_probability(capsys):
@@ -205,6 +206,29 @@ def test_model_solve_threshold(capsys):
 def test_model_solve_tiny_probability(capsys):
     status, out, _ = run_cli(capsys, "model", "--solve-p", "1e-70", "--bits", "160")
     assert (status, out) == (0, "1.7097e-11\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--bits", "74", "--count", "1000", "--csv"],
+        ["model", "--table", "--bits", "74"],
+        ["model", "--table", "--digits", "9"],
+        ["model", "--solve-p", "0.5", "--bits", "80", "--digits", "9"],
+    ],
+    ids=" ".join,
+)
+def test_model_rejects_a_flag_its_mode_ignores(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "applies only to" in err
+
+
+def test_model_digits_default_and_explicit(capsys):
+    assert run_cli(capsys, "model", "--bits", "74", "--count", "1000") == (0, "2.6e-17\n", "")
+    assert run_cli(capsys, "model", "--bits", "74", "--count", "1000", "--digits", "4") == (0, "2.644e-17\n", "")
 
 
 def test_model_requires_exactly_one_mode(capsys):
@@ -289,6 +313,18 @@ def test_bench_virtual_time_replays(capsys, tmp_path):
         return path.read_text()
 
     assert run("a.csv") == run("b.csv")
+
+
+@pytest.mark.parametrize("virtual", [True, False], ids=["virtual-time", "real-time"])
+def test_bench_labels_virtual_time_figures(capsys, tmp_path, virtual):
+    mode = ["--virtual-time"] if virtual else []
+    argv = ["bench", "--scheme", "ulid", "--samples", "4", "--interval-ms", "0", "--ids-per-sample", "20"]
+    status, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "m.csv"), *mode)
+    assert status == 0
+    timed = [line for line in out.splitlines() if line.startswith(("durationMicros", "bandwidthMbps"))]
+    assert len(timed) == 2
+    assert all(line.endswith(cli._VIRTUAL) == virtual for line in timed)
+    assert out.count("(virtual)") == (2 if virtual else 0)
 
 
 def test_bench_with_a_too_coarse_timer_exits_one_with_an_error_line(capsys, monkeypatch, tmp_path):
@@ -420,17 +456,22 @@ def test_sim_crash_outside_run_errors_keeps_its_traceback(monkeypatch):
 
 
 def test_sim_csv_output(capsys):
-    status, out, _ = run_cli(
-        capsys,
-        "sim",
-        "--scheme", "ulid",
-        "--producers", "2",
-        "--events", "50",
-        "--deterministic",
-        "--csv",
-    )
+    argv = ["sim", "--scheme", "ulid", "--producers", "1", "--events", "10", "--partitions", "1", "--consumers", "1"]
+    status, out, _ = run_cli(capsys, *argv, "--deterministic", "--csv")
     assert status == 0
-    assert out.splitlines()[0].startswith("scheme,producers,partitions,")
+    header, row = out.splitlines()
+    assert header + "\n" == _SIM_HEADER
+    assert row.startswith("ulid,1,1,10,10,10,10,0,0,0,")
+    assert row.endswith(",virtual")
+
+
+def test_threaded_sim_csv_row_says_wall(capsys):
+    status, out, _ = run_cli(capsys, "sim", "--scheme", "uuidv4", "--producers", "2", "--events", "50", "--csv")
+    assert status == 0
+    header, row = out.splitlines()
+    assert header + "\n" == _SIM_HEADER
+    assert row.startswith("uuidv4,2,4,100,100,100,100,0,,0,")
+    assert row.endswith(",wall")
 
 
 def _write_metrics(path, duration):
@@ -508,7 +549,7 @@ def test_report_refuses_durations_it_cannot_divide_by(capsys, tmp_path, duration
 _SIM = ["sim", "--producers", "3", "--events", "40", "--seed", "5", "--deterministic"]
 _SIM_HEADER = (
     "scheme,producers,partitions,events_total,consumed_total,stored_total,unique_ids,"
-    "duplicate_count,ordering_violations,overflow_waits,elapsed_seconds,effective_mbps\n"
+    "duplicate_count,ordering_violations,overflow_waits,elapsed_seconds,effective_mbps,clock\n"
 )
 
 
@@ -523,7 +564,8 @@ def _sim_text(scheme, partitions, mbps, ordering=True):
         "unique ids          120\n"
         "duplicate count     0\n"
         + ("ordering violations 0\n" if ordering else "")
-        + "elapsed seconds     0.040000 (virtual)\n"
+        + "overflow waits      0\n"
+        "elapsed seconds     0.040000 (virtual)\n"
         f"effective mbps      {mbps} (virtual)\n"
     )
 
@@ -560,14 +602,14 @@ _UUIDV7 = ["--scheme", "uuidv7", "--partitions", "3", "--consumers", "2"]
         pytest.param([*_SIM, "--scheme", "ulid"], _sim_text("ulid", 4, "1.248000"), "", id="sim-ulid"),
         pytest.param(
             [*_SIM, "--scheme", "ulid", "--csv"],
-            _SIM_HEADER + "ulid,3,4,120,120,120,120,0,0,0,0.04,1.248\n",
+            _SIM_HEADER + "ulid,3,4,120,120,120,120,0,0,0,0.04,1.248,virtual\n",
             "",
             id="sim-ulid-csv",
         ),
         pytest.param([*_SIM, *_UUIDV7], _sim_text("uuidv7", 3, "1.728000"), "", id="sim-uuidv7"),
         pytest.param(
             [*_SIM, *_UUIDV7, "--csv"],
-            _SIM_HEADER + "uuidv7,3,3,120,120,120,120,0,0,0,0.04,1.728\n",
+            _SIM_HEADER + "uuidv7,3,3,120,120,120,120,0,0,0,0.04,1.728,virtual\n",
             "",
             id="sim-uuidv7-csv",
         ),
@@ -576,7 +618,7 @@ _UUIDV7 = ["--scheme", "uuidv7", "--partitions", "3", "--consumers", "2"]
         ),
         pytest.param(
             [*_SIM, "--scheme", "uuidv4", "--csv"],
-            _SIM_HEADER + "uuidv4,3,4,120,120,120,120,0,,0,0.04,1.728\n",
+            _SIM_HEADER + "uuidv4,3,4,120,120,120,120,0,,0,0.04,1.728,virtual\n",
             "",
             id="sim-uuidv4-csv",
         ),
@@ -590,8 +632,8 @@ _UUIDV7 = ["--scheme", "uuidv7", "--partitions", "3", "--consumers", "2"]
 def test_golden_output(capsys, tmp_path, argv, out, err):
     if argv[0] == "report":  # over virtual-time bench files, one of them given twice
         for scheme, name in (("ulid", "metrics_ULID.csv"), ("uuidv7", "metrics_UUID_V7.csv")):
-            bench = ["bench", "--scheme", scheme, "--virtual-time", "--seed", "9", "--samples", "8"]
-            assert cli.main([*bench, "--interval-ms", "0", "--ids-per-sample", "10", "--out", str(tmp_path / name)]) == 0
+            bench = ["bench", "--scheme", scheme, "--virtual-time", "--seed", "9", "--interval-ms", "0"]
+            assert cli.main([*bench, "--samples", "8", "--ids-per-sample", "10", "--out", str(tmp_path / name)]) == 0
         capsys.readouterr()
         argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
     assert run_cli(capsys, *argv) == (0, out, err)

@@ -60,3 +60,22 @@ def test_runtime_imports_only_the_standard_library():
             imported += [(f"{path.name}:{node.lineno}", name.partition(".")[0]) for name in names]
     assert {"threading", "zlib"} <= {name for _, name in imported}, "the scan found too little"
     assert [(where, name) for where, name in imported if name not in sys.stdlib_module_names] == []
+
+
+def test_only_the_cli_prints():
+    # Every command's output goes through cli.py; library modules return values.
+    found = []
+    for path in Path(uidlab.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                found.append((path.name, node.lineno, "print"))
+            elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+                if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                    found.append((path.name, node.lineno, f"sys.{node.attr}"))
+            elif isinstance(node, ast.ClassDef):
+                methods = [item for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                found += [(path.name, item.lineno, item.name) for item in methods if item.name.startswith("render_")]
+    assert {"print", "sys.stdout", "sys.stderr"} <= {what for name, _, what in found if name == "cli.py"}, (
+        "the scan found too little"
+    )
+    assert [entry for entry in found if entry[0] != "cli.py" or entry[2].startswith("render_")] == []
