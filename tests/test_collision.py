@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from uidlab import cli
 from uidlab.collision import (
     CollisionQuery,
     DomainTooLarge,
@@ -273,6 +274,25 @@ def test_risk_table_default_grid():
     assert table.cell(10**9, IdScheme.ULID).sci(2) == "4.1e-7"
     assert table.cell(1000, IdScheme.UUID_V4).sci(2) == "9.4e-32"
     assert table.notes == (UUIDV4_TABLE_NOTE,)
+
+
+def test_risk_table_csv_schema(capsys):
+    assert cli.main(["model", "--table", "--csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rate,uuidv4,uuidv7,ulid"
+    assert lines[1].startswith("1000,")
+    assert len(lines) == 4
+    table = risk_table()
+    for line, rate in zip(lines[1:], table.rates):
+        cells = [table.cell(rate, s).sci(2) for s in table.schemes]
+        assert line == ",".join([str(rate), *cells])
+
+
+def test_risk_table_text_carries_uuidv4_note(capsys):
+    assert cli.main(["model", "--table"]) == 0
+    text = capsys.readouterr().out
+    assert UUIDV4_TABLE_NOTE in text
+    assert "2.3e-29" in text and "9.4e-32" in text
 
 
 def test_risk_table_without_uuidv4_has_no_note():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uidlab import codec, core, sim
+from uidlab import cli, codec, core, sim
 from uidlab.codec import ulid_decode, ulid_encode, uuid_format
 from uidlab.core import (
     FixedClock,
@@ -849,6 +849,24 @@ def test_producer_recovers_from_random_overflow():
     event = producer.make_event(1)
     assert producer.overflow_waits == 1
     assert ulid_decode(event.id) >> 80 == 1_001
+
+
+def test_report_csv_shape(capsys):
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=1,
+        events_per_producer=10,
+        partitions=1,
+        consumers=1,
+        deterministic=True,
+    )
+    report = run_simulation(cfg)
+    argv = ["sim", "--scheme", "ulid", "--producers", "1", "--events", "10"]
+    assert cli.main([*argv, "--partitions", "1", "--consumers", "1", "--deterministic", "--csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split(",")[-1] == "clock"
+    assert row.startswith("ulid,1,1,10,10,10,10,0,0,")
+    assert row.endswith(f",{report.elapsed_seconds},{report.effective_mbps},virtual")
 
 
 def test_sim_persistence_file(tmp_path):
