@@ -23,30 +23,11 @@ import math
 import time
 from dataclasses import dataclass
 
-from . import codec
+from . import _LAZY, codec
 from .codec import serialized_size
-from .core import _MAX_SLEEP_S, ClockSource, IdScheme, RandomSource, ZeroDuration, bandwidth_mbps, id_generator
+from .core import _MAX_SLEEP_S, ClockSource, IdScheme, RandomSource, ZeroDuration, bandwidth_mbps
 
-__all__ = [
-    "CSV_HEADER",
-    "HEADLINE_RATIO_NOTE",
-    "BenchConfig",
-    "MetricsSample",
-    "SummaryStats",
-    "BenchSummary",
-    "ZeroDuration",
-    "TimerResolutionTooCoarse",
-    "EmptyInput",
-    "MalformedMetrics",
-    "SimulatedTimer",
-    "serialized_size",
-    "bandwidth_mbps",
-    "run_generation_bench",
-    "write_metrics_csv",
-    "read_metrics_csv",
-    "summarize",
-    "metrics_filename",
-]
+__all__ = list(_LAZY["bench"])
 
 CSV_HEADER = "index,durationMicros,payloadBits,bandwidthMbps"
 
@@ -60,7 +41,7 @@ HEADLINE_RATIO_NOTE = (
 )
 
 
-class TimerResolutionTooCoarse(RuntimeError):
+class TimerResolutionTooCoarse(ValueError):
     """A whole batch ran between two identical timer readings; raise ids_per_sample."""
 
 
@@ -155,15 +136,14 @@ def run_generation_bench(
     """
     timer = timer_ns or time.perf_counter_ns
     wait = sleep if sleep is not None else time.sleep
-    next_value = id_generator(cfg.scheme, clock, rng)
-    encode = codec.encoder_for(cfg.scheme)
+    mint = codec.minter(cfg.scheme, clock, rng)
     payload_bits = cfg.ids_per_sample * serialized_size(cfg.scheme, cfg.bytes_per_char) * 8
 
     samples = []
     for index in range(cfg.total_samples):
         start = timer()
         for _ in range(cfg.ids_per_sample):
-            encode(next_value())
+            mint()
         elapsed_ns = timer() - start
         if elapsed_ns <= 0:
             raise TimerResolutionTooCoarse(

@@ -15,7 +15,6 @@ from .core import (
     RandomOverflow,
     SeededEntropy,
     SystemEntropy,
-    id_generator,
 )
 
 __all__ = ["main"]
@@ -81,10 +80,9 @@ def _cmd_gen(args, parser) -> int:
     if args.monotonic and args.scheme is not IdScheme.ULID:
         parser.error("--monotonic requires --scheme ulid")
     state = MonotonicState() if args.monotonic else None
-    next_value = id_generator(args.scheme, rng=_make_rng(args.seed), state=state)
-    encode = codec.encoder_for(args.scheme)
+    mint = codec.minter(args.scheme, rng=_make_rng(args.seed), state=state)
     for _ in range(args.count):
-        print(encode(next_value()))
+        print(mint())
     return 0
 
 
@@ -256,23 +254,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate identifiers, one per line")
-    p.set_defaults(run=_cmd_gen)
+    p.set_defaults(run=_cmd_gen, parser=p)
     p.add_argument("--scheme", type=_scheme_arg, required=True, help="ulid | uuidv4 | uuidv7")
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None, help="deterministic output for a fixed seed")
     p.add_argument("--monotonic", action="store_true", help="ULID only: strictly increasing within one process")
 
     p = sub.add_parser("encode", help="encode 128-bit values to canonical strings")
-    p.set_defaults(run=_cmd_encode)
+    p.set_defaults(run=_cmd_encode, parser=p)
     p.add_argument("--to", choices=("ulid", "uuid"), required=True)
     p.add_argument("values", nargs="+", help="decimal, 0x-prefixed, or 32-digit hex values")
 
     p = sub.add_parser("decode", help="decode ULID/UUID strings to 32-digit hex")
-    p.set_defaults(run=_cmd_decode)
+    p.set_defaults(run=_cmd_decode, parser=p)
     p.add_argument("values", nargs="+")
 
     p = sub.add_parser("model", help="birthday-bound collision probabilities")
-    p.set_defaults(run=_cmd_model)
+    p.set_defaults(run=_cmd_model, parser=p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--table", action="store_true", help="risk table at 1e3/1e6/1e9 ids per window")
     p.add_argument("--csv", action="store_true", help="CSV output for --table")
@@ -282,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=_positive_int, default=None, help="significant digits for --count (default 2)")
 
     p = sub.add_parser("bench", help="measure generation speed and bandwidth")
-    p.set_defaults(run=_cmd_bench)
+    p.set_defaults(run=_cmd_bench, parser=p)
     p.add_argument("--scheme", type=_scheme_arg, required=True)
     p.add_argument("--samples", type=int, default=2420)
     p.add_argument("--interval-ms", type=float, default=500.0)
@@ -293,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--virtual-time", action="store_true", help="deterministic timer, no sleeping")
 
     p = sub.add_parser("sim", help="producer/broker/consumer pipeline run")
-    p.set_defaults(run=_cmd_sim)
+    p.set_defaults(run=_cmd_sim, parser=p)
     p.add_argument("--scheme", type=_scheme_arg, required=True)
     p.add_argument("--producers", type=int, default=4)
     p.add_argument("--events", type=int, default=1000, help="events per producer")
@@ -306,25 +304,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("report", help="combine metrics CSVs into a comparison table")
-    p.set_defaults(run=_cmd_report)
+    p.set_defaults(run=_cmd_report, parser=p)
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
     p.add_argument("--bytes-per-char", type=int, choices=(1, 2), default=2)
 
     return parser
 
 
-def _bench_errors() -> tuple:
-    """bench's run error, if a command has imported bench; no other command raises it."""
-    bench_mod = sys.modules.get(f"{__package__}.bench")
-    return (bench_mod.TimerResolutionTooCoarse,) if bench_mod else ()
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.run(args, parser)
-    except _RUN_ERRORS + _bench_errors() as exc:  # evaluated only once a run has raised
+        return args.run(args, args.parser)  # the subparser, so a usage error names its command
+    except _RUN_ERRORS as exc:
         if isinstance(exc, BrokenPipeError):  # the exit-time flush must not hit the closed pipe again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ characters including the four hyphens.
 
 from __future__ import annotations
 
+from . import core
 from .core import UID128_MAX, IdScheme, Uid128
 
 __all__ = [
@@ -27,7 +28,7 @@ __all__ = [
     "ulid_decode",
     "uuid_format",
     "uuid_parse",
-    "encoder_for",
+    "minter",
     "decode",
 ]
 
@@ -153,9 +154,21 @@ def uuid_parse(text: str) -> Uid128:
             raise InvalidCharacter(f"character {ch!r} is not a hexadecimal digit")
 
 
-def encoder_for(scheme: IdScheme):
-    """The function rendering ``scheme`` values as canonical text."""
-    return ulid_encode if scheme.text_length == ULID_TEXT_LENGTH else uuid_format
+def minter(scheme: IdScheme, clock=None, rng=None, state=None):
+    """A callable returning the next ``scheme`` id as canonical text on each call.
+
+    With a ``state``, ULIDs come from :func:`core.next_monotonic_ulid`; the
+    other schemes have no monotonic form and ignore it. The generator and the
+    encoder are looked up when the callable runs, not when it is made, so a
+    patch of either in its home module applies to a minter made before it.
+    """
+    if scheme is IdScheme.UUID_V4:
+        return lambda: uuid_format(core.generate_uuidv4(rng))
+    if scheme is IdScheme.UUID_V7:
+        return lambda: uuid_format(core.generate_uuidv7(clock, rng))
+    if state is not None:
+        return lambda: ulid_encode(core.next_monotonic_ulid(state, clock, rng))
+    return lambda: ulid_encode(core.generate_ulid(clock, rng))
 
 
 def decode(text: str) -> Uid128:

@@ -22,26 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
+from . import _LAZY
 from .core import IdScheme
 
-__all__ = [
-    "MIN_BITS",
-    "MAX_BITS",
-    "EXACT_MAX_BITS",
-    "DEFAULT_RATES",
-    "CollisionQuery",
-    "Probability",
-    "DomainTooLarge",
-    "approx_no_collision_prob",
-    "collision_prob",
-    "exact_no_collision_prob",
-    "count_for_probability",
-    "relative_risk",
-    "risk_table",
-    "RiskTable",
-    "UUIDV4_TABLE_NOTE",
-    "FIFTY_PERCENT_THRESHOLD_NOTES",
-]
+__all__ = list(_LAZY["collision"])
 
 _PRECISION = 60
 _SERIES_CUTOFF = Decimal("1e-25")

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from os import urandom
 from random import Random
-from typing import Callable, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 __all__ = [
     "UID128_MAX",
@@ -50,7 +50,6 @@ __all__ = [
     "generate_uuidv7",
     "generate_ulid",
     "next_monotonic_ulid",
-    "id_generator",
     "extract_timestamp",
     "version_of",
     "variant_bits_of",
@@ -295,27 +294,6 @@ def next_monotonic_ulid(
         raise RandomOverflow(f"random component exhausted at timestamp {state.last_ts}")
     state.last_random += 1
     return (state.last_ts << 80) | state.last_random
-
-
-def id_generator(
-    scheme: IdScheme,
-    clock: ClockSource | None = None,
-    rng: RandomSource | None = None,
-    state: MonotonicState | None = None,
-) -> Callable[[], Uid128]:
-    """A callable returning the next ``scheme`` value on each call.
-
-    With a ``state``, ULID values come from :func:`next_monotonic_ulid`; the
-    other schemes have no monotonic form and ignore it. The generator
-    functions are looked up when the callable runs, not when it is made.
-    """
-    if scheme is IdScheme.UUID_V4:
-        return lambda: generate_uuidv4(rng)
-    if scheme is IdScheme.UUID_V7:
-        return lambda: generate_uuidv7(clock, rng)
-    if state is not None:
-        return lambda: next_monotonic_ulid(state, clock, rng)
-    return lambda: generate_ulid(clock, rng)
 
 
 def extract_timestamp(value: Uid128, scheme: IdScheme) -> Timestamp48:

@@ -33,7 +33,6 @@ from .core import (
     SystemClock,
     UnsupportedScheme,
     bandwidth_mbps,
-    id_generator,
 )
 
 __all__ = [
@@ -311,23 +310,21 @@ class _Producer:
     def __init__(self, index: int, cfg: SimConfig, clock):
         self.index = index
         self.clock = clock
-        self.rng = SeededEntropy(cfg.seed + index)
         self.state = MonotonicState()
-        self.next_value = id_generator(cfg.scheme, clock, self.rng, self.state)
-        self.encode = codec.encoder_for(cfg.scheme)
+        self.mint = codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + index), self.state)
         self.overflow_waits = 0
 
     def make_event(self, seq: int) -> Event:
         while True:
             try:
-                value = self.next_value()
+                id_text = self.mint()
                 break
             except RandomOverflow:
                 self.overflow_waits += 1
                 while self.clock.now() <= self.state.last_ts:
                     time.sleep(0.0002)
         # tuple.__new__ skips the NamedTuple's Python-level __new__; still an Event.
-        return tuple.__new__(Event, (self.encode(value), self.index, seq))
+        return tuple.__new__(Event, (id_text, self.index, seq))
 
 
 def run_simulation(cfg: SimConfig) -> SimReport:
@@ -417,9 +414,11 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> None:
     ]
     for t in consumer_threads + producer_threads:
         t.start()
-    for t in producer_threads:
-        t.join()
-    topic.close()
+    try:
+        for t in producer_threads:
+            t.join()
+    finally:  # an interrupted join must still stop the consumers, or the process cannot exit
+        topic.close()
     for t in consumer_threads:
         t.join()
     if errors:

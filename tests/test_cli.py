@@ -379,6 +379,26 @@ def test_sim_labels_virtual_time_only_in_deterministic_mode(capsys, deterministi
     assert out.count("(virtual)") == (2 if deterministic else 0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--scheme", "uuidv4", "--monotonic"],
+        ["gen", "--scheme", "ulid", "--count", "0"],
+        ["model", "--table", "--bits", "3"],
+        ["bench", "--scheme", "ulid", "--samples", "0"],
+        ["sim", "--scheme", "ulid", "--producers", "0"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_name_their_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].startswith(f"uidlab {argv[0]}: error: ")
+    assert err.startswith(f"usage: uidlab {argv[0]} ")
+
+
 def test_sim_zero_producers_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sim", "--scheme", "ulid", "--producers", "0"])

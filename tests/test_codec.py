@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uidlab import codec
+from uidlab import codec, core
+from uidlab.bench import BenchConfig, SimulatedTimer, run_generation_bench
 from uidlab.codec import (
     CROCKFORD_ALPHABET,
     CodecError,
@@ -19,6 +20,7 @@ from uidlab.codec import (
     uuid_format,
     uuid_parse,
 )
+from uidlab.core import FixedClock, IdScheme, MonotonicState, SeededEntropy
 
 UID_MAX = (1 << 128) - 1
 
@@ -193,6 +195,51 @@ def test_serialized_lengths_are_fixed():
         value = rng.getrandbits(128)
         assert len(ulid_encode(value)) == 26
         assert len(uuid_format(value)) == 36
+
+
+@pytest.mark.parametrize("monotonic", [False, True], ids=["plain", "monotonic"])
+@pytest.mark.parametrize("scheme", list(IdScheme), ids=lambda s: s.cli_name)
+def test_minter_text_decodes_to_the_scheme_layout(scheme, monotonic):
+    state = MonotonicState() if monotonic else None
+    mint = codec.minter(scheme, FixedClock(1_700_000_000_123), SeededEntropy(5), state)
+    for _ in range(50):
+        text = mint()
+        assert len(text) == scheme.text_length
+        value = codec.decode(text)
+        if scheme is not IdScheme.ULID:
+            version = {IdScheme.UUID_V4: 4, IdScheme.UUID_V7: 7}[scheme]
+            assert (core.version_of(value), core.variant_bits_of(value)) == (version, 0b10)
+        if scheme.time_ordered:
+            assert core.extract_timestamp(value, scheme) == 1_700_000_000_123
+
+
+def test_minter_with_a_state_strictly_increases_within_one_millisecond():
+    mint = codec.minter(IdScheme.ULID, FixedClock(42), SeededEntropy(8), MonotonicState())
+    texts = [mint() for _ in range(1_000)]
+    assert all(a < b for a, b in zip(texts, texts[1:]))
+    assert {codec.decode(text) >> 80 for text in texts} == {42}
+
+
+def test_minter_and_bench_reach_generator_and_encoder_when_they_run(monkeypatch):
+    # A tracer patches core.generate_* and codec.*_encode/uuid_format in their
+    # home modules; a minter made before the patch must still call through it.
+    mint = codec.minter(IdScheme.UUID_V7, FixedClock(7), SeededEntropy(1))
+    calls = {"generate": 0, "encode": 0}
+
+    def counting(key, original):
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "generate_uuidv7", counting("generate", core.generate_uuidv7))
+    monkeypatch.setattr(codec, "uuid_format", counting("encode", codec.uuid_format))
+    mint()
+    assert calls == {"generate": 1, "encode": 1}
+    cfg = BenchConfig(IdScheme.UUID_V7, sample_interval=0, total_samples=3, ids_per_sample=10)
+    run_generation_bench(cfg, FixedClock(7), SeededEntropy(1), timer_ns=SimulatedTimer())
+    assert calls == {"generate": 31, "encode": 31}
 
 
 # --- fast paths against the reference loops -----------------------------------

@@ -346,6 +346,21 @@ def test_import_loads_collision_and_bench_on_first_use():
     assert _cold_python(code) == ["[]", "[]", "[True, True, True, True]", "[]"]
 
 
+@pytest.mark.parametrize("module", ["bench", "collision"])
+def test_lazy_module_imported_first_exports_its_lazy_names(module):
+    # Importing a lazy module first still runs the package __init__ first, which
+    # defines the _LAZY the module reads its __all__ from.
+    code = "\n".join([
+        f"import uidlab.{module}",
+        "namespace = {}",
+        f"exec('from uidlab.{module} import *', namespace)",
+        "import uidlab",
+        f"print(sorted(set(namespace) - {{'__builtins__'}}) == sorted(uidlab._LAZY[{module!r}]))",
+        f"print(uidlab.{module}.__all__ == list(uidlab._LAZY[{module!r}]))",
+    ])
+    assert _cold_python(code) == ["True", "True"]
+
+
 def test_unknown_package_name_raises_attribute_error():
     import uidlab
 

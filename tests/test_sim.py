@@ -417,6 +417,43 @@ def test_consumers_past_the_last_partition_start_no_thread(monkeypatch):
     assert report.stored_total == 400
 
 
+def test_interrupted_threaded_run_stops_its_consumers(monkeypatch):
+    consumers, topics = [], []
+
+    class InterruptedThread(threading.Thread):
+        def start(self):
+            if self.name.startswith("consumer-"):
+                consumers.append(self)
+            super().start()
+
+        def join(self, timeout=None):
+            if self.name.startswith("producer-"):
+                raise KeyboardInterrupt  # Ctrl-C while the main thread waits on a producer
+            super().join(timeout)
+
+    class RecordingTopic(Topic):
+        def __init__(self, *args):
+            super().__init__(*args)
+            topics.append(self)
+
+    monkeypatch.setattr(sim.threading, "Thread", InterruptedThread)
+    monkeypatch.setattr(sim, "Topic", RecordingTopic)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=2, consumers=2, seed=6
+    )
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_simulation(cfg)
+        assert len(consumers) == 2
+        deadline = time.monotonic() + 5
+        for t in consumers:
+            t.join(max(0.0, deadline - time.monotonic()))
+        assert [t.name for t in consumers if t.is_alive()] == []
+    finally:  # a consumer left polling would keep the test process from exiting
+        for topic in topics:
+            topic.close()
+
+
 def test_consumers_past_the_last_partition_change_nothing(tmp_path):
     def run(consumers):
         path = tmp_path / f"stored-{consumers}.txt"
