@@ -1,8 +1,10 @@
+import ast
 import collections
 import hashlib
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,6 +125,48 @@ def test_publish_after_close():
         topic.publish(make_event("A" * 26))
     assert not topic._lock.locked()
     assert topic.committed(0) == 0
+
+
+def test_topic_lock_sections_hold_no_thread_switch_point():
+    # A thread switched out while it holds the topic lock stalls every
+    # producer and consumer behind it. So a locked section may call only
+    # len() and .append(), besides building the exception it raises, and runs
+    # no loop; and no method takes the lock through an explicit acquire().
+    tree = ast.parse(Path(sim.__file__).read_text())
+    (topic,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Topic"]
+    sections = [
+        (method.name, node)
+        for method in topic.body
+        for node in ast.walk(method)
+        if isinstance(node, ast.With) and any(ast.unparse(item.context_expr) == "self._lock" for item in node.items)
+    ]
+    found = []
+    for name, section in sections:
+        raised = {
+            id(node)
+            for stmt in ast.walk(section)
+            if isinstance(stmt, ast.Raise)
+            for part in (stmt.exc, stmt.cause)
+            if part is not None
+            for node in ast.walk(part)
+        }
+        for node in ast.walk(section):
+            if isinstance(node, (ast.For, ast.While, ast.comprehension)):
+                found.append((name, node.lineno, "loop"))
+            elif isinstance(node, ast.Call) and id(node) not in raised:
+                func = node.func
+                if not (
+                    (isinstance(func, ast.Name) and func.id == "len")
+                    or (isinstance(func, ast.Attribute) and func.attr == "append")
+                ):
+                    found.append((name, node.lineno, ast.unparse(func)))
+    for node in ast.walk(topic):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "acquire":
+            found.append(("Topic", node.lineno, ast.unparse(node.func)))
+    assert found == []
+    assert {name for name, _ in sections} >= {"publish", "consume", "close", "committed"}, (
+        "the scan found too little"
+    )
 
 
 def test_a_raising_store_releases_its_lock():
