@@ -43,6 +43,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_uid_value(text: str) -> int:
     t = text.strip()
     if t.lower().startswith("0x"):
@@ -257,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_gen, parser=p)
     p.add_argument("--scheme", type=_scheme_arg, required=True, help="ulid | uuidv4 | uuidv7")
     p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=None, help="deterministic output for a fixed seed")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="deterministic output for a fixed seed")
     p.add_argument("--monotonic", action="store_true", help="ULID only: strictly increasing within one process")
 
     p = sub.add_parser("encode", help="encode 128-bit values to canonical strings")
@@ -287,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ids-per-sample", type=int, default=1000)
     p.add_argument("--bytes-per-char", type=int, choices=(1, 2), default=2)
     p.add_argument("--out", default=None, help="default: metrics_<SCHEME>.csv")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--virtual-time", action="store_true", help="deterministic timer, no sleeping")
 
     p = sub.add_parser("sim", help="producer/broker/consumer pipeline run")
@@ -298,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partitions", type=int, default=4)
     p.add_argument("--consumers", type=int, default=4)
     p.add_argument("--produce-interval-ms", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--deterministic", action="store_true", help="single-threaded virtual-time replay")
     p.add_argument("--persist", default=None, help="write stored ids to this file, one per line, overwriting it")
     p.add_argument("--csv", action="store_true")

@@ -183,9 +183,13 @@ class SeededEntropy:
     """Deterministic bit stream for tests and replayable runs.
 
     The same seed always yields the same sequence of ``next_bits`` results.
+    A negative seed is refused: ``random.Random`` seeds with ``abs(seed)``, so
+    it would replay the stream of its positive twin.
     """
 
     def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self._rng = Random(seed)
 
     def next_bits(self, k: int) -> int:

@@ -88,11 +88,14 @@ def partition_for(id_text: str, partitions: int) -> int:
 class Topic:
     """Append-only partitioned log with one consumer offset per partition.
 
-    One lock guards the appends, the offsets and the closed flag, so once
-    ``close()`` returns no publish can append and every log is final.
+    On a shared topic, the default, one lock guards the appends, the offsets
+    and the closed flag, so once ``close()`` returns no publish can append
+    and every log is final. ``shared=False`` promises that one thread makes
+    every call; program order then gives the same guarantee, and ``publish``
+    and ``consume`` take no lock.
     """
 
-    def __init__(self, name: str, partitions: int):
+    def __init__(self, name: str, partitions: int, *, shared: bool = True):
         if partitions < 1:
             raise ValueError("partitions must be >= 1")
         self.name = name
@@ -107,16 +110,23 @@ class Topic:
         # to four times the time per event.
         self._lock = threading.Lock()
         self._closed = False
+        self._shared = shared
 
     def publish(self, event: Event) -> tuple[int, int]:
         """Append atomically; returns (partition, offset)."""
         p = partition_for(event.id, self.partitions)
-        with self._lock:
-            if self._closed:
-                raise TopicClosed(f"topic {self.name!r} is closed")
-            log = self._logs[p]
-            log.append(event)
-            return p, len(log) - 1
+        if self._shared:
+            with self._lock:
+                if self._closed:
+                    raise TopicClosed(f"topic {self.name!r} is closed")
+                log = self._logs[p]
+                log.append(event)
+                return p, len(log) - 1
+        if self._closed:
+            raise TopicClosed(f"topic {self.name!r} is closed")
+        log = self._logs[p]
+        log.append(event)
+        return p, len(log) - 1
 
     def _check_partition(self, partition: int) -> None:
         if not 0 <= partition < self.partitions:
@@ -132,12 +142,19 @@ class Topic:
         # next drain, never skip or repeat one.
         if offsets[partition] == len(log):
             return []
-        with self._lock:
-            start = offsets[partition]
-            end = start + _CONSUME_BATCH
-            if end > len(log):
-                end = len(log)
-            offsets[partition] = end
+        if self._shared:
+            with self._lock:
+                start = offsets[partition]
+                end = start + _CONSUME_BATCH
+                if end > len(log):
+                    end = len(log)
+                offsets[partition] = end
+            return log[start:end]
+        start = offsets[partition]
+        end = start + _CONSUME_BATCH
+        if end > len(log):
+            end = len(log)
+        offsets[partition] = end
         return log[start:end]
 
     def close(self) -> None:
@@ -233,6 +250,8 @@ class SimConfig:
         for name in ("producers", "events_per_producer", "partitions", "consumers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:  # producer i draws from seed + i, each seed non-negative
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.produce_interval <= _MAX_SLEEP_S:
             raise ValueError(f"produce_interval must be in [0, {_MAX_SLEEP_S:g}] s")
         if self.deterministic and self.produce_interval:
@@ -337,7 +356,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     consumer, raises :class:`EventCountMismatch` if the topic holds other
     than every event the producers made, and closes the sink either way.
     """
-    topic = Topic("events", cfg.partitions)
+    # The deterministic scheduler makes every topic call on this one thread.
+    topic = Topic("events", cfg.partitions, shared=not cfg.deterministic)
     sink = Sink(cfg.persist_path)
     try:
         clock = FixedClock(_VIRTUAL_EPOCH_MS) if cfg.deterministic else SystemClock()

@@ -399,6 +399,16 @@ def test_usage_errors_name_their_subcommand(capsys, argv):
     assert err.startswith(f"usage: uidlab {argv[0]} ")
 
 
+@pytest.mark.parametrize("command", [["gen"], ["bench", "--virtual-time"], ["sim", "--deterministic"]], ids=lambda c: c[0])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--scheme", "ulid", "--seed", "-5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"uidlab {command[0]}: error: argument --seed: must be >= 0, got -5"
+
+
 def test_sim_zero_producers_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sim", "--scheme", "ulid", "--producers", "0"])

@@ -284,6 +284,13 @@ def test_seeded_entropy_is_reproducible():
     assert [a.next_bits(k) for k in (1, 64, 128, 80)] == [b.next_bits(k) for k in (1, 64, 128, 80)]
 
 
+def test_seeded_entropy_refuses_a_negative_seed():
+    # random.Random seeds with abs(seed), so -5 would replay the stream of 5.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        SeededEntropy(-5)
+    assert SeededEntropy(0).next_bits(64) == random.Random(0).getrandbits(64)
+
+
 def test_entropy_bit_count_contract():
     assert SeededEntropy(0).next_bits(0) == 0
     assert SystemEntropy().next_bits(0) == 0

@@ -52,6 +52,11 @@ def make_event(text, producer=0, seq=0):
     return Event(text, producer, seq)
 
 
+def both_topics(partitions):
+    """A default, shared topic and an unshared one, which publishes and consumes without its lock."""
+    return [Topic("t", partitions), Topic("t", partitions, shared=False)]
+
+
 def test_partition_matches_independent_crc():
     rng = SeededEntropy(555)
     clock = FixedClock(10_000)
@@ -71,22 +76,22 @@ def test_single_partition_gets_everything():
 
 
 def test_consume_respects_offsets_and_batch_size():
-    topic = Topic("t", 1)
-    for i in range(257):
-        topic.publish(make_event(f"{i:026d}", seq=i))
-    first = topic.consume(0)
-    second = topic.consume(0)
-    third = topic.consume(0)
-    assert [e.seq for e in first] == list(range(256))
-    assert [e.seq for e in second] == [256]
-    assert third == []
-    assert topic.committed(0) == 257
+    for topic in both_topics(1):
+        for i in range(257):
+            topic.publish(make_event(f"{i:026d}", seq=i))
+        first = topic.consume(0)
+        second = topic.consume(0)
+        third = topic.consume(0)
+        assert [e.seq for e in first] == list(range(256))
+        assert [e.seq for e in second] == [256]
+        assert third == []
+        assert topic.committed(0) == 257
 
 
 def test_consume_empty_partition():
-    topic = Topic("t", 2)
-    assert topic.consume(1) == []
-    assert topic.committed(1) == 0
+    for topic in both_topics(2):
+        assert topic.consume(1) == []
+        assert topic.committed(1) == 0
 
 
 def test_unknown_partition():
@@ -117,14 +122,58 @@ def test_accessors_reject_unknown_partition(accessor, partition):
 
 
 def test_publish_after_close():
-    # publish raises while it holds the lock; the lock must be free afterwards,
-    # or the next locked call blocks for ever.
-    topic = Topic("t", 1)
-    topic.close()
-    with pytest.raises(TopicClosed):
-        topic.publish(make_event("A" * 26))
-    assert not topic._lock.locked()
-    assert topic.committed(0) == 0
+    # A shared topic's publish raises while it holds the lock; the lock must
+    # be free afterwards, or the next locked call blocks for ever.
+    for topic in both_topics(1):
+        topic.close()
+        with pytest.raises(TopicClosed):
+            topic.publish(make_event("A" * 26))
+        assert not topic._lock.locked()
+        assert topic.committed(0) == 0
+
+
+class CountingLock:
+    """A real lock that counts the with blocks entering it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.entered = 0
+
+    def __enter__(self):
+        self.entered += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+def test_only_a_shared_topic_locks_to_publish_and_consume(shared):
+    topic = Topic("t", 1) if shared else Topic("t", 1, shared=False)
+    topic._lock = lock = CountingLock()
+    for seq in range(600):
+        topic.publish(make_event(f"{seq:026d}", seq=seq))
+    batches = [topic.consume(0) for _ in range(4)]
+    assert [len(batch) for batch in batches] == [256, 256, 88, 0]
+    assert [e.seq for batch in batches for e in batch] == list(range(600))
+    # One entry per publish and per non-empty consume; the empty consume returns before the lock.
+    assert lock.entered == (600 + 3 if shared else 0)
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["threaded", "deterministic"])
+def test_only_the_deterministic_run_builds_an_unshared_topic(monkeypatch, deterministic):
+    topics = _record_topics(monkeypatch)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=2,
+        events_per_producer=50,
+        partitions=2,
+        consumers=1,
+        seed=7,
+        deterministic=deterministic,
+    )
+    assert run_simulation(cfg).conserved
+    assert [topic._shared for topic in topics] == [not deterministic]
 
 
 def test_topic_lock_sections_hold_no_thread_switch_point():
@@ -462,7 +511,7 @@ def test_consumers_past_the_last_partition_start_no_thread(monkeypatch):
 
 
 def test_interrupted_threaded_run_stops_its_consumers(monkeypatch):
-    consumers, topics = [], []
+    consumers = []
 
     class InterruptedThread(threading.Thread):
         def start(self):
@@ -475,13 +524,8 @@ def test_interrupted_threaded_run_stops_its_consumers(monkeypatch):
                 raise KeyboardInterrupt  # Ctrl-C while the main thread waits on a producer
             super().join(timeout)
 
-    class RecordingTopic(Topic):
-        def __init__(self, *args):
-            super().__init__(*args)
-            topics.append(self)
-
     monkeypatch.setattr(sim.threading, "Thread", InterruptedThread)
-    monkeypatch.setattr(sim, "Topic", RecordingTopic)
+    topics = _record_topics(monkeypatch)
     cfg = SimConfig(
         scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=2, consumers=2, seed=6
     )
@@ -612,24 +656,24 @@ def test_deterministic_run_calls_every_traced_entry_point(monkeypatch):
 
 
 def test_full_drain_conserves_multiset():
-    topic = Topic("t", 4)
-    rng = SeededEntropy(99)
-    clock = FixedClock(5_000)
-    state = MonotonicState()
-    published = []
-    for seq in range(500):
-        text = ulid_encode(next_monotonic_ulid(state, clock, rng))
-        event = make_event(text, seq=seq)
-        topic.publish(event)
-        published.append(text)
-    drained = []
-    for p in range(4):
-        while True:
-            batch = topic.consume(p)
-            if not batch:
-                break
-            drained.extend(e.id for e in batch)
-    assert collections.Counter(drained) == collections.Counter(published)
+    for topic in both_topics(4):
+        rng = SeededEntropy(99)
+        clock = FixedClock(5_000)
+        state = MonotonicState()
+        published = []
+        for seq in range(500):
+            text = ulid_encode(next_monotonic_ulid(state, clock, rng))
+            event = make_event(text, seq=seq)
+            topic.publish(event)
+            published.append(text)
+        drained = []
+        for p in range(4):
+            while True:
+                batch = topic.consume(p)
+                if not batch:
+                    break
+                drained.extend(e.id for e in batch)
+        assert collections.Counter(drained) == collections.Counter(published)
 
 
 def test_sink_counts_duplicates_and_persists(tmp_path):
@@ -744,6 +788,10 @@ def test_sim_config_validation():
             SimConfig(scheme=IdScheme.ULID, produce_interval=interval)
     with pytest.raises(ValueError, match="deterministic"):
         SimConfig(scheme=IdScheme.ULID, produce_interval=0.005, deterministic=True)
+    # Producer i draws from seed + i, so a negative seed would give some
+    # producers the streams of others' positive twins: false duplicates.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        SimConfig(scheme=IdScheme.ULID, seed=-3)
     SimConfig(scheme=IdScheme.ULID, produce_interval=0.005)
 
 
@@ -862,6 +910,19 @@ def _record_sinks(monkeypatch):
 
     monkeypatch.setattr(sim, "Sink", RecordingSink)
     return sinks
+
+
+def _record_topics(monkeypatch):
+    """Make run_simulation's topics a subclass that lists its instances; return the list."""
+    topics = []
+
+    class RecordingTopic(Topic):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            topics.append(self)
+
+    monkeypatch.setattr(sim, "Topic", RecordingTopic)
+    return topics
 
 
 def _fail_at(monkeypatch, producer, seq):
