@@ -399,14 +399,20 @@ def test_usage_errors_name_their_subcommand(capsys, argv):
     assert err.startswith(f"usage: uidlab {argv[0]} ")
 
 
+@pytest.mark.parametrize(
+    ("seed", "message"),
+    [("-5", "must be >= 0, got -5"), ("x", "invalid int value: 'x'")],
+    ids=["negative", "not-an-int"],
+)
 @pytest.mark.parametrize("command", [["gen"], ["bench", "--virtual-time"], ["sim", "--deterministic"]], ids=lambda c: c[0])
-def test_negative_seed_is_a_usage_error(capsys, command):
+def test_seed_must_be_a_non_negative_int(capsys, command, seed, message):
+    # random.Random seeds with abs(seed), so -5 would replay the ids of 5.
     with pytest.raises(SystemExit) as exc:
-        cli.main([*command, "--scheme", "ulid", "--seed", "-5"])
+        cli.main([*command, "--scheme", "ulid", "--seed", seed])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == f"uidlab {command[0]}: error: argument --seed: must be >= 0, got -5"
+    assert captured.err.splitlines()[-1] == f"uidlab {command[0]}: error: argument --seed: {message}"
 
 
 def test_sim_zero_producers_usage_error(capsys):
