@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_gen, parser=p)
     p.add_argument("--scheme", type=_scheme_arg, required=True, help="ulid | uuidv4 | uuidv7")
     p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_non_negative_int, default=None, help="deterministic output for a fixed seed")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="seed the random bits, not the system clock")
     p.add_argument("--monotonic", action="store_true", help="ULID only: strictly increasing within one process")
 
     p = sub.add_parser("encode", help="encode 128-bit values to canonical strings")

@@ -187,10 +187,6 @@ class Sink:
     """
 
     def __init__(self, persist_path=None):
-        # store takes it with acquire() and release() in try/finally, which on
-        # CPython 3.11 costs about half of a with block for an uncontended
-        # lock. Unlike the topic's sections, store's loop can switch threads
-        # while it holds the lock anyway, so acquire() adds no new stall.
         self._lock = threading.Lock()
         self.stored: dict[str, tuple[int, int]] = {}
         self.duplicate_count = 0
@@ -203,28 +199,25 @@ class Sink:
         A batch that raises, say on a malformed event, leaves the counts, the
         stored ids and the persist file as they were.
         """
-        lock = self._lock
-        lock.acquire()
-        try:
+        with self._lock:
             stored = self.stored
             before = len(stored)
-            duplicates = 0
-            for id_, producer, seq in events:
-                if id_ in stored:
-                    duplicates += 1
-                else:
-                    stored[id_] = (producer, seq)
-            if self._file is not None:
-                self._file.write("".join([event[0] + "\n" for event in events]))
-            self.duplicate_count += duplicates
-            self.insertions += len(events)
-        except BaseException:
-            # A dict pops its newest item first, so this drops exactly the batch's new ids.
-            for _ in range(len(stored) - before):
-                stored.popitem()
-            raise
-        finally:
-            lock.release()
+            try:
+                duplicates = 0
+                for id_, producer, seq in events:
+                    if id_ in stored:
+                        duplicates += 1
+                    else:
+                        stored[id_] = (producer, seq)
+                if self._file is not None:
+                    self._file.write("".join([event[0] + "\n" for event in events]))
+                self.duplicate_count += duplicates
+                self.insertions += len(events)
+            except BaseException:
+                # A dict pops its newest item first, so this drops exactly the batch's new ids.
+                for _ in range(len(stored) - before):
+                    stored.popitem()
+                raise
 
     def close(self) -> None:
         if self._file is not None:
@@ -293,29 +286,23 @@ def verify_ordering(partition_logs, scheme: IdScheme) -> int:
     so string comparison is the time comparison). Each event is compared with
     the producer's previous one in that partition, on the scheme's ordered
     prefix only: UUIDv7 ids of one millisecond may come in any order. A
-    ULID's ordered prefix is the whole id, which is compared unsliced.
+    prefix can sort lower only where the whole id does, so the prefixes are
+    sliced only for an id that sorts below its predecessor.
     UUIDv4 has no ordering claim to check and is rejected.
     """
     if not scheme.time_ordered:
         raise UnsupportedScheme("ordering verification needs a time-ordered scheme")
     n = scheme.ordered_chars
-    whole = n == scheme.text_length
     violations = 0
     for log in partition_logs:
         last_seen: dict[int, str] = {}
         get = last_seen.get
         # "" sorts below every id, so a producer's first event never counts.
-        if whole:
-            for id_, producer, _seq in log:
-                if id_ < get(producer, ""):
-                    violations += 1
-                last_seen[producer] = id_
-        else:
-            for id_, producer, _seq in log:
-                prefix = id_[:n]
-                if prefix < get(producer, ""):
-                    violations += 1
-                last_seen[producer] = prefix
+        for id_, producer, _seq in log:
+            last = get(producer, "")
+            if id_ < last and id_[:n] < last[:n]:
+                violations += 1
+            last_seen[producer] = id_
     return violations
 
 

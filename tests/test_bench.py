@@ -104,6 +104,25 @@ def test_real_timer_smoke():
     assert all(s.duration_micros > 0 for s in samples)
 
 
+def test_simulated_timer_refuses_a_step_below_one():
+    with pytest.raises(ValueError, match="step_ns must be >= 1"):
+        SimulatedTimer(0)
+
+
+def test_positive_interval_sleeps_out_the_rest_of_each_sample():
+    cfg = BenchConfig(scheme=IdScheme.ULID, sample_interval=0.25, total_samples=3, ids_per_sample=20)
+    slept = []
+    run_generation_bench(
+        cfg,
+        clock=FixedClock(1_000_000),
+        rng=SeededEntropy(1),
+        timer_ns=SimulatedTimer(step_ns=2500),
+        sleep=slept.append,
+    )
+    # Two timer readings a batch, one step apart: each batch takes 2,500 ns.
+    assert slept == [0.25 - 2500 / 1e9] * 3
+
+
 def test_timer_resolution_too_coarse():
     cfg = BenchConfig(scheme=IdScheme.ULID, sample_interval=0.0, total_samples=1, ids_per_sample=1)
     with pytest.raises(TimerResolutionTooCoarse):
@@ -145,6 +164,15 @@ def test_read_metrics_csv_rejects_bad_row(tmp_path):
     from uidlab.bench import MalformedMetrics
 
     with pytest.raises(MalformedMetrics):
+        read_metrics_csv(path)
+
+
+def test_read_metrics_csv_rejects_a_header_without_rows(tmp_path):
+    from uidlab.bench import MalformedMetrics
+
+    path = tmp_path / "m.csv"
+    path.write_text(CSV_HEADER + "\n")
+    with pytest.raises(MalformedMetrics, match="m.csv: no data rows"):
         read_metrics_csv(path)
 
 

@@ -41,6 +41,15 @@ def test_gen_seed_replays(capsys):
     assert first == second
 
 
+def test_gen_seed_replays_only_the_random_part_of_a_ulid(capsys):
+    # A ULID's last 16 characters are its 80 random bits; its first 10 read the system clock.
+    _, first, _ = run_cli(capsys, "gen", "--scheme", "ulid", "--count", "3", "--seed", "7")
+    _, second, _ = run_cli(capsys, "gen", "--scheme", "ulid", "--count", "3", "--seed", "7")
+    tails = [line[-16:] for line in first.splitlines()]
+    assert len(set(tails)) == 3
+    assert tails == [line[-16:] for line in second.splitlines()]
+
+
 def test_gen_monotonic_requires_ulid(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen", "--scheme", "uuidv4", "--monotonic"])
@@ -141,6 +150,20 @@ def test_encode_decode_round_trip(capsys):
     status, out, _ = run_cli(capsys, "decode", ulid_text)
     assert status == 0
     assert out.strip() == value
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("255", "00000000-0000-0000-0000-0000000000ff"),
+        # 32 characters, all hex digits: hex before decimal, as the help says.
+        ("0" * 30 + "10", "00000000-0000-0000-0000-000000000010"),
+    ],
+)
+def test_encode_reads_decimal_and_hex_values(capsys, value, expected):
+    status, out, _ = run_cli(capsys, "encode", "--to", "uuid", value)
+    assert status == 0
+    assert out == expected + "\n"
 
 
 @pytest.mark.parametrize("target", ["ulid", "uuid"])
@@ -533,6 +556,20 @@ def test_report_single_input_no_ratios(capsys, tmp_path):
     status, out, _ = run_cli(capsys, "report", "--in", str(path))
     assert status == 0
     assert "vs" not in out
+
+
+def test_report_labels_an_unknown_scheme_by_its_file_stem(capsys, tmp_path):
+    foo_csv = tmp_path / "metrics_FOO.csv"
+    ulid_csv = tmp_path / "metrics_ULID.csv"
+    _write_metrics(foo_csv, 20.0)
+    _write_metrics(ulid_csv, 10.0)
+    status, out, _ = run_cli(capsys, "report", "--in", str(foo_csv), str(ulid_csv))
+    assert status == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("metrics_FOO ")
+    assert lines[1].endswith(" -")
+    # No size is known for metrics_FOO, so its pair gets a speedup and no size reduction.
+    assert lines[3:] == ["metrics_FOO vs ulid: generation speedup 0.5x"]
 
 
 def test_report_identical_inputs_neutral_ratios(capsys, tmp_path):

@@ -94,6 +94,11 @@ def test_consume_empty_partition():
         assert topic.committed(1) == 0
 
 
+def test_topic_needs_a_partition():
+    with pytest.raises(ValueError, match="partitions must be >= 1"):
+        Topic("t", 0)
+
+
 def test_unknown_partition():
     topic = Topic("t", 2)
     with pytest.raises(UnknownPartition):
@@ -180,7 +185,8 @@ def test_topic_lock_sections_hold_no_thread_switch_point():
     # A thread switched out while it holds the topic lock stalls every
     # producer and consumer behind it. So a locked section may call only
     # len() and .append(), besides building the exception it raises, and runs
-    # no loop; and no method takes the lock through an explicit acquire().
+    # no loop; and every lock in sim.py, the sink's too, is taken in a with
+    # block, never through an explicit acquire() or release().
     tree = ast.parse(Path(sim.__file__).read_text())
     (topic,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Topic"]
     sections = [
@@ -209,9 +215,13 @@ def test_topic_lock_sections_hold_no_thread_switch_point():
                     or (isinstance(func, ast.Attribute) and func.attr == "append")
                 ):
                     found.append((name, node.lineno, ast.unparse(func)))
-    for node in ast.walk(topic):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "acquire":
-            found.append(("Topic", node.lineno, ast.unparse(node.func)))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("acquire", "release")
+        ):
+            found.append(("sim", node.lineno, ast.unparse(node.func)))
     assert found == []
     assert {name for name, _ in sections} >= {"publish", "consume", "close", "committed"}, (
         "the scan found too little"
@@ -882,6 +892,15 @@ def test_threaded_run_integrity():
     assert report.unique_ids == 8000
     assert report.per_partition_order_ok
     assert report.effective_mbps > 0
+
+
+def test_paced_threaded_run_sleeps_between_events():
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=2, events_per_producer=20, produce_interval=0.001)
+    report = run_simulation(cfg)
+    assert report.conserved
+    assert report.events_total == 40
+    # Each producer sleeps the interval after each of its 20 events.
+    assert report.elapsed_seconds >= 0.02
 
 
 def test_threaded_uuidv7_run_has_no_ordering_violations():
