@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 CROCKFORD_ALPHABET = "0123456789ABCDEFGHJKMNPQRSTVWXYZ"
-ULID_TEXT_LENGTH = 26
-UUID_TEXT_LENGTH = 36
+ULID_TEXT_LENGTH = IdScheme.ULID.text_length
+UUID_TEXT_LENGTH = IdScheme.UUID_V4.text_length
 
 
 class CodecError(ValueError):

@@ -92,7 +92,7 @@ class Probability:
 
     def __post_init__(self):
         ln_value = Decimal(self.ln_value)
-        if ln_value > 0:
+        if ln_value.is_nan() or ln_value > 0:
             raise ValueError(f"log-probability must be <= 0, got {ln_value}")
         object.__setattr__(self, "ln_value", ln_value)
 
@@ -243,7 +243,7 @@ def risk_table(rates=None, schemes=None) -> RiskTable:
     rates = tuple(rates) if rates is not None else DEFAULT_RATES
     if not rates:
         raise ValueError("rates must be non-empty")
-    schemes = tuple(schemes) if schemes is not None else (IdScheme.UUID_V4, IdScheme.UUID_V7, IdScheme.ULID)
+    schemes = tuple(schemes) if schemes is not None else tuple(IdScheme)
     cells = {
         (rate, scheme): collision_prob(CollisionQuery(scheme.effective_random_bits, rate))
         for rate in rates

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from os import urandom
 from random import Random
-from typing import NamedTuple, Protocol
+from typing import Protocol
 
 __all__ = [
     "UID128_MAX",
@@ -94,62 +94,45 @@ class ZeroDuration(ValueError):
 
 
 class IdScheme(enum.Enum):
-    """The three identifier schemes and their fixed bit budgets."""
+    """The three identifier schemes and their fixed bit budgets.
 
-    UUID_V4 = "UUID_V4"
-    UUID_V7 = "UUID_V7"
-    ULID = "ULID"
+    Each member's value is its name; it also carries:
 
-    @property
-    def effective_random_bits(self) -> int:
-        """Random bits that must avoid collision within one window."""
-        return _SPECS[self].random_bits
+    * ``cli_name``, the first of the names that :meth:`parse` accepts;
+    * ``effective_random_bits``, the random bits that must avoid collision
+      within one window;
+    * ``text_length``, the length of the canonical string form (36 hex and
+      hyphens, or 26 base32);
+    * ``ordered_chars``, the leading characters of the text form that order
+      one producer's ids: all 26 for ULID from the monotonic generator, the
+      13 of the 48-bit timestamp for UUIDv7 (its later bits are random within
+      one millisecond), none for UUIDv4; ``time_ordered`` is whether any do.
+    """
 
-    @property
-    def text_length(self) -> int:
-        """Length of the canonical string form (36 hex+hyphens or 26 base32)."""
-        return _SPECS[self].text_length
+    # value, parse names, random bits, text length, ordered chars
+    UUID_V4 = "UUID_V4", ("uuidv4", "uuid4"), 122, 36, 0
+    UUID_V7 = "UUID_V7", ("uuidv7", "uuid7"), 74, 36, 13
+    ULID = "ULID", ("ulid",), 80, 26, 26
 
-    @property
-    def ordered_chars(self) -> int:
-        """Leading characters of the text form that order one producer's ids.
-
-        All 26 for ULID from the monotonic generator; the 13 characters of the
-        48-bit timestamp for UUIDv7, whose later bits are random within one
-        millisecond; none for UUIDv4.
-        """
-        return _SPECS[self].ordered_chars
-
-    @property
-    def time_ordered(self) -> bool:
-        return _SPECS[self].ordered_chars > 0
-
-    @property
-    def cli_name(self) -> str:
-        return _SPECS[self].names[0]
+    def __new__(cls, value, names, random_bits, text_length, ordered_chars):
+        member = object.__new__(cls)
+        member._value_ = value
+        member._names = names
+        member.cli_name = names[0]
+        member.effective_random_bits = random_bits
+        member.text_length = text_length
+        member.ordered_chars = ordered_chars
+        member.time_ordered = ordered_chars > 0
+        return member
 
     @classmethod
     def parse(cls, name: str) -> "IdScheme":
         """Parse a scheme name, case-insensitively ('ulid', 'uuidv4', 'uuid_v7', ...)."""
         key = name.strip().lower().replace("-", "").replace("_", "")
-        for scheme, spec in _SPECS.items():
-            if key in spec.names:
+        for scheme in cls:
+            if key in scheme._names:
                 return scheme
         raise ValueError(f"unknown identifier scheme: {name!r}")
-
-
-class _SchemeSpec(NamedTuple):
-    names: tuple[str, ...]  # the first is the CLI name
-    random_bits: int
-    text_length: int
-    ordered_chars: int
-
-
-_SPECS = {
-    IdScheme.UUID_V4: _SchemeSpec(("uuidv4", "uuid4"), 122, 36, 0),
-    IdScheme.UUID_V7: _SchemeSpec(("uuidv7", "uuid7"), 74, 36, 13),
-    IdScheme.ULID: _SchemeSpec(("ulid",), 80, 26, 26),
-}
 
 
 class RandomSource(Protocol):

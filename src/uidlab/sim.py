@@ -424,10 +424,10 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> None:
     try:
         for t in producer_threads:
             t.join()
-    finally:  # an interrupted join must still stop the consumers, or the process cannot exit
+    finally:  # on an interrupt too: stop the consumers, and let their last store end before the sink closes
         topic.close()
-    for t in consumer_threads:
-        t.join()
+        for t in consumer_threads:
+            t.join()
     if errors:
         raise errors[0]
 

@@ -204,6 +204,10 @@ def test_relative_risk_needs_two():
 def test_probability_rejects_positive_log():
     with pytest.raises(ValueError):
         Probability(Decimal("0.1"))
+    # A NaN fails the check too, not the comparison with InvalidOperation.
+    for nan in (float("nan"), Decimal("NaN")):
+        with pytest.raises(ValueError, match="log-probability must be <= 0"):
+            Probability(nan)
 
 
 def test_probability_certain_and_impossible():

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uidlab import core
+from uidlab.bench import metrics_filename
 from uidlab.core import (
     IdScheme,
     FixedClock,
@@ -449,3 +452,13 @@ def test_scheme_parse_names():
     assert IdScheme.parse("uuid-v7") is IdScheme.UUID_V7
     with pytest.raises(ValueError):
         IdScheme.parse("uuidv6")
+    assert [s.cli_name for s in IdScheme] == ["uuidv4", "uuidv7", "ulid"]
+    assert all(IdScheme.parse(s.cli_name) is s for s in IdScheme)
+    # Values, value and name lookup, and copies keep the members the enum had.
+    assert [s.value for s in IdScheme] == ["UUID_V4", "UUID_V7", "ULID"]
+    assert IdScheme("ULID") is IdScheme.ULID
+    assert IdScheme["UUID_V7"] is IdScheme.UUID_V7
+    for scheme in IdScheme:
+        assert pickle.loads(pickle.dumps(scheme)) is scheme
+        assert copy.deepcopy(scheme) is scheme
+    assert metrics_filename(IdScheme.ULID) == "metrics_ULID.csv"

@@ -552,6 +552,59 @@ def test_interrupted_threaded_run_stops_its_consumers(monkeypatch):
             topic.close()
 
 
+def test_interrupted_threaded_run_waits_for_the_consumers_last_store(monkeypatch, tmp_path):
+    consumers, sinks = [], []
+    entered = threading.Semaphore(0)
+
+    class InterruptedThread(threading.Thread):
+        def start(self):
+            if self.name.startswith("consumer-"):
+                consumers.append(self)
+            super().start()
+
+        def join(self, timeout=None):
+            if self.name.startswith("producer-"):
+                for _ in consumers:  # Ctrl-C once every consumer is inside its first store
+                    entered.acquire(timeout=5)
+                raise KeyboardInterrupt
+            super().join(timeout)
+
+    class HeldSink(Sink):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.held = set()
+            sinks.append(self)
+
+        def store(self, events):
+            name = threading.current_thread().name
+            if name.startswith("consumer-") and name not in self.held:
+                self.held.add(name)
+                entered.release()
+                time.sleep(0.2)
+            super().store(events)
+
+    monkeypatch.setattr(sim.threading, "Thread", InterruptedThread)
+    monkeypatch.setattr(sim, "Sink", HeldSink)
+    topics = _record_topics(monkeypatch)
+    path = tmp_path / "stored.txt"
+    cfg = SimConfig(
+        scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=2, consumers=2,
+        seed=6, persist_path=str(path),
+    )
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_simulation(cfg)
+        assert [t.name for t in consumers if t.is_alive()] == []
+    finally:  # a consumer left polling would keep the test process from exiting
+        for topic in topics:
+            topic.close()
+        for t in consumers:
+            t.join(5)
+    (sink,) = sinks
+    assert sink.held == {"consumer-0", "consumer-1"}
+    assert len(path.read_text().splitlines()) == len(sink.stored) > 0
+
+
 def test_consumers_past_the_last_partition_change_nothing(tmp_path):
     def run(consumers):
         path = tmp_path / f"stored-{consumers}.txt"
@@ -991,23 +1044,29 @@ def test_uuidv4_run_skips_ordering():
 
 
 class TickingClock(FixedClock):
-    """Reads 1,000 twice, then 1,001: the next millisecond arrives while waiting."""
+    """Reads 1,000 ``stale`` times, then 1,001: the next millisecond arrives while waiting."""
 
-    def __init__(self):
+    def __init__(self, stale=2):
         super().__init__(1_000)
+        self.stale = stale
         self.reads = 0
 
     def now(self):
         self.reads += 1
-        return self.millis if self.reads <= 2 else self.millis + 1
+        return self.millis if self.reads <= self.stale else self.millis + 1
 
 
-def test_producer_recovers_from_random_overflow():
+# Two reads mint the first id and overflow; any later read of 1,000 is a poll that sleeps.
+@pytest.mark.parametrize("stale, sleeps", [(2, 0), (4, 2)], ids=["ticks-before-poll", "two-polls"])
+def test_producer_recovers_from_random_overflow(monkeypatch, stale, sleeps):
+    recorded = []
+    monkeypatch.setattr(sim.time, "sleep", recorded.append)
     cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=1, seed=0)
-    producer = _Producer(0, cfg, TickingClock())
+    producer = _Producer(0, cfg, TickingClock(stale))
     producer.make_event(0)
     producer.state.last_random = RANDOM80_MAX
     event = producer.make_event(1)
+    assert len(recorded) == sleeps
     assert producer.overflow_waits == 1
     assert ulid_decode(event.id) >> 80 == 1_001
 
