@@ -30,9 +30,8 @@ _LAZY = {
     ),
     "bench": (
         "CSV_HEADER", "HEADLINE_RATIO_NOTE", "BenchConfig", "MetricsSample", "SummaryStats", "BenchSummary",
-        "ZeroDuration", "TimerResolutionTooCoarse", "EmptyInput", "MalformedMetrics", "SimulatedTimer",
-        "serialized_size", "bandwidth_mbps", "run_generation_bench", "write_metrics_csv", "read_metrics_csv",
-        "summarize", "metrics_filename",
+        "TimerResolutionTooCoarse", "EmptyInput", "MalformedMetrics", "SimulatedTimer", "run_generation_bench",
+        "write_metrics_csv", "read_metrics_csv", "summarize", "metrics_filename",
     ),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}

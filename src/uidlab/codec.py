@@ -30,6 +30,7 @@ __all__ = [
     "uuid_parse",
     "minter",
     "decode",
+    "serialized_size",
 ]
 
 CROCKFORD_ALPHABET = "0123456789ABCDEFGHJKMNPQRSTVWXYZ"
@@ -62,14 +63,14 @@ _ULID_DIGIT = {c: i for i, c in enumerate(CROCKFORD_ALPHABET)}
 _ULID_DIGIT.update({c.lower(): i for i, c in enumerate(CROCKFORD_ALPHABET)})
 _ULID_DIGIT.update({"O": 0, "o": 0, "I": 1, "i": 1, "L": 1, "l": 1})
 
-# Decoding fast path, as byte tables for bytes.translate: an accepted
-# character maps to the standard base-32 digit int(..., 32) reads, and every
-# other byte is deleted, so invalid text comes out short and goes to the loop.
-_TO_BASE32 = bytes.maketrans(
-    "".join(_ULID_DIGIT).encode("ascii"),
-    "".join("0123456789abcdefghijklmnopqrstuv"[i] for i in _ULID_DIGIT.values()).encode("ascii"),
-)
-_NOT_BASE32 = bytes(b for b in range(256) if chr(b) not in _ULID_DIGIT)
+# Decoding fast path, as 256-byte tables for bytes.translate: an accepted
+# character maps to the digit int() reads, and every other byte to the
+# sentinel '!' (33), so text whose digits hold a 33 goes to the loop. No
+# table takes a delete set: from one, CPython rebuilds a 256-entry lookup on
+# every call, which cost more than the int() after it. Test for the sentinel
+# with the int 33: a bytes needle is a subsequence search that first raises
+# and clears a TypeError.
+_TO_BASE32 = "".join("0123456789abcdefghijklmnopqrstuv!"[_ULID_DIGIT.get(chr(b), 32)] for b in range(256)).encode()
 
 # Encoding spreads the 26 five-bit digits of a value one per byte, then maps
 # each byte to its character. Digit j, counted from the least significant,
@@ -83,7 +84,7 @@ _M4, _M3, _M2, _M1, _M0 = (
 )
 _BYTE_TO_CHAR = bytes.maketrans(bytes(range(32)), CROCKFORD_ALPHABET.encode("ascii"))
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
-_NOT_HEX = bytes(b for b in range(256) if chr(b) not in _HEX_DIGITS)
+_TO_HEX = bytes(b if chr(b) in _HEX_DIGITS else 33 for b in range(256))
 
 
 def ulid_encode(value: Uid128) -> str:
@@ -104,15 +105,16 @@ def ulid_decode(text: str) -> Uid128:
     """Parse a ULID string back to its 128-bit value.
 
     Case-insensitive; the aliases I and L read as 1 and O reads as 0. One
-    ``bytes.translate`` maps valid characters to the base-32 digits that
-    ``int(..., 32)`` reads and deletes the rest. Text that loses a character
-    there, or is not ASCII, holds an invalid one; the loop only names the first.
+    ``bytes.translate`` through a 256-byte table maps valid characters to the
+    base-32 digits that ``int(..., 32)`` reads and every other byte to ``!``.
+    Text that comes out holding a ``!``, or is not ASCII, holds an invalid
+    character; the loop only names the first.
     """
     if len(text) != ULID_TEXT_LENGTH:
         raise InvalidLength(f"ULID must be {ULID_TEXT_LENGTH} characters, got {len(text)}")
     if text.isascii():
-        digits = text.encode("ascii").translate(_TO_BASE32, _NOT_BASE32)
-        if len(digits) == ULID_TEXT_LENGTH:
+        digits = text.encode("ascii").translate(_TO_BASE32)
+        if 33 not in digits:
             value = int(digits, 32)
             if value <= UID128_MAX:
                 return value
@@ -137,15 +139,17 @@ def uuid_format(value: Uid128) -> str:
 def uuid_parse(text: str) -> Uid128:
     """Parse a hyphenated UUID string (either case) back to its 128-bit value.
 
-    With the four hyphens in place, one ``bytes.translate`` deletes every
-    non-hex byte and ``int(..., 16)`` reads the 32 digits left. Any other text
-    with those hyphens holds a non-hex character; the loop only names the first.
+    With the four hyphens in place, one ``bytes.translate`` through a 256-byte
+    table deletes the hyphens, keeps every hex digit and maps every other byte
+    to ``!``; ``int(..., 16)`` reads the 32 digits left when none is a ``!``.
+    Any other text with those hyphens holds a hyphen elsewhere or a non-hex
+    character, which the checks after it name.
     """
     if len(text) != UUID_TEXT_LENGTH:
         raise InvalidLength(f"UUID must be {UUID_TEXT_LENGTH} characters, got {len(text)}")
     if text[8:24:5] == "----" and text.isascii():
-        digits = text.encode("ascii").translate(None, _NOT_HEX)
-        if len(digits) == 32:
+        digits = text.encode("ascii").translate(_TO_HEX, b"-")
+        if len(digits) == 32 and 33 not in digits:
             return int(digits, 16)
     if text.count("-") != 4 or text[8:24:5] != "----":
         raise MisplacedHyphen("hyphens must sit at positions 8, 13, 18 and 23")

@@ -45,6 +45,7 @@ __all__ = [
     "MonotonicState",
     "RandomOverflow",
     "UnsupportedScheme",
+    "ZeroDuration",
     "check_timestamp48",
     "generate_uuidv4",
     "generate_uuidv7",
@@ -53,6 +54,7 @@ __all__ = [
     "extract_timestamp",
     "version_of",
     "variant_bits_of",
+    "bandwidth_mbps",
 ]
 
 # Identifiers and timestamps are plain ints; the aliases mark intent.

@@ -318,6 +318,7 @@ class _Producer:
         self.clock = clock
         self.state = MonotonicState()
         self.mint = codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + index), self.state)
+        self.deterministic = cfg.deterministic
         self.overflow_waits = 0
 
     def make_event(self, seq: int) -> Event:
@@ -326,6 +327,8 @@ class _Producer:
                 id_text = self.mint()
                 break
             except RandomOverflow:
+                if self.deterministic:  # nothing advances the virtual clock inside the wait
+                    raise
                 self.overflow_waits += 1
                 while self.clock.now() <= self.state.last_ts:
                     time.sleep(0.0002)

@@ -1,6 +1,8 @@
+import ast
 import inspect
 import random
 import uuid
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -120,6 +122,30 @@ def test_codec_module_keeps_no_table_temporaries():
             read.update(obj.__code__.co_names)
     private = {name for name in vars(codec) if name.startswith("_") and not name.startswith("__")}
     assert private and private <= read
+
+
+def test_decode_fast_paths_translate_without_a_delete_set():
+    # From a delete set, bytes.translate rebuilds a 256-entry lookup on every
+    # call; a bytes needle in an `in` test raises and clears a TypeError before
+    # its subsequence search. Every table maps invalid bytes to '!' instead,
+    # found with the int needle 33; only the one byte b"-" may be deleted.
+    tree = ast.parse(Path(codec.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "translate":
+            delete = node.args[1:] + [kw.value for kw in node.keywords]
+            if delete and not (
+                len(delete) == 1
+                and isinstance(delete[0], ast.Constant)
+                and isinstance(delete[0].value, bytes)
+                and len(delete[0].value) == 1
+            ):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Compare):
+            for op, left in zip(node.ops, [node.left, *node.comparators]):
+                if isinstance(op, (ast.In, ast.NotIn)) and isinstance(left, ast.Constant) and isinstance(left.value, bytes):
+                    found.append((node.lineno, ast.unparse(node)))
+    assert found == []
 
 
 def test_ulid_alphabet_is_strictly_increasing():
@@ -290,8 +316,9 @@ def outcome(decoder, text):
 
 # Characters int() accepts or reinterprets where the loops reject them: the
 # digit separator, whitespace, signs, base-36 'U', the hex prefix 'x', and
-# non-ASCII decimal digits (ARABIC-INDIC THREE, FULLWIDTH ONE).
-TRAPS = ["_", " ", "\t", "+", "-", "U", "u", "x", "X", "\u0663", "\uff11"]
+# non-ASCII decimal digits (ARABIC-INDIC THREE, FULLWIDTH ONE); and '!', the
+# byte the decode tables map every invalid character to.
+TRAPS = ["_", " ", "\t", "+", "-", "U", "u", "x", "X", "\u0663", "\uff11", "!"]
 ULID_CHARS = CROCKFORD_ALPHABET + CROCKFORD_ALPHABET.lower() + "IiLlOo"
 HEX_CHARS = "0123456789abcdefABCDEF-"
 uids = st.integers(0, UID_MAX)
@@ -323,6 +350,8 @@ def replace_one(text, data):
 @given(text_of(26, ULID_CHARS))
 @example("8ZZZZZZZZZZZZZZZZZZZZZZZZZ")
 @example("0000000000000000000000000\u0663")
+@example("!0000000000000000000000000")
+@example("0000000000000000000000000!")
 def test_ulid_decode_matches_reference_on_any_text(text):
     assert outcome(ulid_decode, text) == outcome(reference_ulid_decode, text)
 
@@ -355,6 +384,7 @@ def test_ulid_decode_overflows_on_every_leading_digit_above_7(lead):
 @example("0x000000-0000-4000-8000-000000000000")
 @example("0X000000-0000-4000-8000-000000000000")
 @example("00000000-0000-4000-8000-00000000000\uff11")
+@example("00000000-00!0-4000-8000-000000000000")
 def test_uuid_parse_matches_reference_on_any_text(text):
     assert outcome(uuid_parse, text) == outcome(reference_uuid_parse, text)
 

@@ -346,6 +346,9 @@ def test_import_loads_collision_and_bench_on_first_use():
         "import sys, uidlab, uidlab.cli",
         "print(sorted({'uidlab.bench', 'uidlab.collision', 'decimal'} & set(sys.modules)))",
         "print(sorted({'bench', 'collision', *uidlab.__all__} - set(dir(uidlab))))",
+        "homes = [uidlab.serialized_size, uidlab.bandwidth_mbps, uidlab.ZeroDuration]",
+        "print(homes == [uidlab.codec.serialized_size, uidlab.core.bandwidth_mbps, uidlab.core.ZeroDuration])",
+        "print('uidlab.bench' in sys.modules)",
         "got = [uidlab.BenchConfig, uidlab.collision, uidlab.collision_prob, uidlab.bench]",
         "bench, collision = sys.modules['uidlab.bench'], sys.modules['uidlab.collision']",
         "print([a is b for a, b in zip(got, [bench.BenchConfig, collision, collision.collision_prob, bench])])",
@@ -353,7 +356,7 @@ def test_import_loads_collision_and_bench_on_first_use():
         "exec('from uidlab import *', namespace)",
         "print([name for name in uidlab.__all__ if namespace.get(name) is not getattr(uidlab, name)])",
     ])
-    assert _cold_python(code) == ["[]", "[]", "[True, True, True, True]", "[]"]
+    assert _cold_python(code) == ["[]", "[]", "True", "False", "[True, True, True, True]", "[]"]
 
 
 @pytest.mark.parametrize("module", ["bench", "collision"])

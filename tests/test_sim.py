@@ -17,6 +17,7 @@ from uidlab.core import (
     IdScheme,
     MonotonicState,
     RANDOM80_MAX,
+    RandomOverflow,
     SeededEntropy,
     UnsupportedScheme,
     generate_uuidv7,
@@ -1069,6 +1070,29 @@ def test_producer_recovers_from_random_overflow(monkeypatch, stale, sleeps):
     assert len(recorded) == sleeps
     assert producer.overflow_waits == 1
     assert ulid_decode(event.id) >> 80 == 1_001
+
+
+def test_deterministic_producer_raises_random_overflow_instead_of_waiting():
+    # The FixedClock never ticks inside the wait, so a poll would never end; a
+    # daemon thread joined with a timeout fails the test instead of hanging it.
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=1, deterministic=True)
+    producer = _Producer(0, cfg, FixedClock(1_000))
+    producer.make_event(0)
+    producer.state.last_random = RANDOM80_MAX
+    raised = []
+
+    def make():
+        try:
+            producer.make_event(1)
+        except RandomOverflow as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=make, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "make_event polled a clock that never ticks"
+    assert len(raised) == 1
+    assert producer.overflow_waits == 0
 
 
 def test_report_csv_shape(capsys):
