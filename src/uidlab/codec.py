@@ -65,11 +65,11 @@ _ULID_DIGIT.update({"O": 0, "o": 0, "I": 1, "i": 1, "L": 1, "l": 1})
 
 # Decoding fast path, as 256-byte tables for bytes.translate: an accepted
 # character maps to the digit int() reads, and every other byte to the
-# sentinel '!' (33), so text whose digits hold a 33 goes to the loop. No
-# table takes a delete set: from one, CPython rebuilds a 256-entry lookup on
-# every call, which cost more than the int() after it. Test for the sentinel
-# with the int 33: a bytes needle is a subsequence search that first raises
-# and clears a TypeError.
+# sentinel '!' (33), so text whose digits hold a 33 goes to the loop. The
+# invalid bytes are not deleted: CPython walks a delete set into a fresh
+# 256-entry lookup on every call, which for about 200 bytes cost more than
+# the int() after it. Test for the sentinel with the int 33: a bytes needle
+# first raises and clears a TypeError inside CPython.
 _TO_BASE32 = "".join("0123456789abcdefghijklmnopqrstuv!"[_ULID_DIGIT.get(chr(b), 32)] for b in range(256)).encode()
 
 # Encoding spreads the 26 five-bit digits of a value one per byte, then maps

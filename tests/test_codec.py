@@ -142,8 +142,9 @@ def test_decode_fast_paths_translate_without_a_delete_set():
             ):
                 found.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, ast.Compare):
-            for op, left in zip(node.ops, [node.left, *node.comparators]):
-                if isinstance(op, (ast.In, ast.NotIn)) and isinstance(left, ast.Constant) and isinstance(left.value, bytes):
+            for op, needle in zip(node.ops, [node.left, *node.comparators]):
+                bytes_needle = isinstance(needle, ast.Constant) and isinstance(needle.value, bytes)
+                if isinstance(op, (ast.In, ast.NotIn)) and bytes_needle:
                     found.append((node.lineno, ast.unparse(node)))
     assert found == []
 
