@@ -318,17 +318,15 @@ class _Producer:
         self.clock = clock
         self.state = MonotonicState()
         self.mint = codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + index), self.state)
-        self.deterministic = cfg.deterministic
         self.overflow_waits = 0
 
     def make_event(self, seq: int) -> Event:
+        """Stamp one event for the threaded scheduler, waiting out a RandomOverflow on the real clock."""
         while True:
             try:
                 id_text = self.mint()
                 break
             except RandomOverflow:
-                if self.deterministic:  # nothing advances the virtual clock inside the wait
-                    raise
                 self.overflow_waits += 1
                 while self.clock.now() <= self.state.last_ts:
                     time.sleep(0.0002)
@@ -438,16 +436,17 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> None:
 def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> None:
     """Round-robin on one thread against the virtual clock.
 
-    Each round every producer publishes one event, one drain call takes a
-    batch from every partition in consumer order, and the clock ticks one
-    millisecond.
+    Each round stamps and publishes one event per producer, one drain call
+    takes a batch from every partition in consumer order, and the clock ticks
+    one millisecond. Nothing ticks it inside a round, so a RandomOverflow
+    propagates from the minter rather than being waited out.
     """
     # Bound once per run: a tracer or a patch installed before the run still applies.
-    publish, advance = topic.publish, clock.advance
-    makers = [producer.make_event for producer in producers]
+    publish, advance, new = topic.publish, clock.advance, tuple.__new__
+    minters = [(producer.mint, producer.index) for producer in producers]
     for seq in range(cfg.events_per_producer):
-        for make_event in makers:
-            publish(make_event(seq))
+        for mint, index in minters:
+            publish(new(Event, (mint(), index, seq)))
         drain()
         advance(1)
     topic.close()

@@ -999,14 +999,15 @@ def _record_topics(monkeypatch):
 
 
 def _fail_at(monkeypatch, producer, seq):
-    make_event = _Producer.make_event
+    """Make publishing the event ``(producer, seq)`` raise, on whichever thread publishes it."""
+    publish = Topic.publish
 
-    def failing(self, s):
-        if self.index == producer and s == seq:
+    def failing(topic, event):
+        if (event.producer, event.seq) == (producer, seq):
             raise RuntimeError("injected producer failure")
-        return make_event(self, s)
+        return publish(topic, event)
 
-    monkeypatch.setattr(_Producer, "make_event", failing)
+    monkeypatch.setattr(Topic, "publish", failing)
 
 
 @pytest.mark.parametrize("deterministic", [False, True], ids=["threaded", "deterministic"])
@@ -1072,27 +1073,85 @@ def test_producer_recovers_from_random_overflow(monkeypatch, stale, sleeps):
     assert ulid_decode(event.id) >> 80 == 1_001
 
 
-def test_deterministic_producer_raises_random_overflow_instead_of_waiting():
-    # The FixedClock never ticks inside the wait, so a poll would never end; a
+def test_deterministic_producer_raises_random_overflow_instead_of_waiting(monkeypatch, tmp_path):
+    # The FixedClock never ticks inside a round, so a poll would never end; a
     # daemon thread joined with a timeout fails the test instead of hanging it.
-    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=1, deterministic=True)
-    producer = _Producer(0, cfg, FixedClock(1_000))
-    producer.make_event(0)
-    producer.state.last_random = RANDOM80_MAX
+    next_ulid, calls = core.next_monotonic_ulid, []
+
+    def overflowing(state, clock, rng):
+        calls.append(state)
+        if len(calls) == 7:
+            raise RandomOverflow("injected overflow")
+        return next_ulid(state, clock, rng)
+
+    monkeypatch.setattr(core, "next_monotonic_ulid", overflowing)
+    sinks, producers = _record_sinks(monkeypatch), []
+
+    class RecordingProducer(_Producer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            producers.append(self)
+
+    monkeypatch.setattr(sim, "_Producer", RecordingProducer)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=3,
+        events_per_producer=10,
+        partitions=2,
+        consumers=2,
+        deterministic=True,
+        persist_path=str(tmp_path / "stored.txt"),
+    )
     raised = []
 
-    def make():
+    def run():
         try:
-            producer.make_event(1)
+            run_simulation(cfg)
         except RandomOverflow as exc:
             raised.append(exc)
 
-    worker = threading.Thread(target=make, daemon=True)
+    worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(timeout=10)
-    assert not worker.is_alive(), "make_event polled a clock that never ticks"
-    assert len(raised) == 1
-    assert producer.overflow_waits == 0
+    assert not worker.is_alive(), "the deterministic run polled a clock that never ticks"
+    assert [str(exc) for exc in raised] == ["injected overflow"]
+    assert len(calls) == 7
+    (sink,) = sinks
+    assert sink._file is None
+    assert len(producers) == 3
+    assert [producer.overflow_waits for producer in producers] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("deterministic, made", [(False, 120), (True, 0)], ids=["threaded", "deterministic"])
+def test_only_the_threaded_scheduler_calls_make_event(monkeypatch, deterministic, made):
+    make_event, calls = _Producer.make_event, []
+
+    def counting(self, seq):
+        calls.append((self.index, seq))
+        return make_event(self, seq)
+
+    monkeypatch.setattr(_Producer, "make_event", counting)
+    topics = _record_topics(monkeypatch)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID,
+        producers=3,
+        events_per_producer=40,
+        partitions=4,
+        consumers=2,
+        seed=5,
+        deterministic=deterministic,
+    )
+    report = run_simulation(cfg)
+    assert len(calls) == made
+    assert report.conserved and report.events_total == 120
+    (topic,) = topics
+    events = [event for p in range(topic.partitions) for event in topic.partition_log(p)]
+    assert all(type(event) is Event for event in events)
+    assert sorted((event.producer, event.seq) for event in events) == [(i, s) for i in range(3) for s in range(40)]
+    if deterministic:
+        # Round s stamps every producer's event s at virtual millisecond s.
+        for event in events:
+            assert ulid_decode(event.id) >> 80 == sim._VIRTUAL_EPOCH_MS + event.seq
 
 
 def test_report_csv_shape(capsys):
