@@ -14,7 +14,6 @@ from .core import (
     MonotonicState,
     RandomOverflow,
     SeededEntropy,
-    SystemEntropy,
 )
 
 __all__ = ["main"]
@@ -65,7 +64,7 @@ def _parse_uid_value(text: str) -> int:
 
 
 def _make_rng(seed):
-    return SeededEntropy(seed) if seed is not None else SystemEntropy()
+    return None if seed is None else SeededEntropy(seed)
 
 
 def _usage(parser, make, *args, **kwargs):

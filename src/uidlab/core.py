@@ -17,7 +17,12 @@ big-endian form:
 Randomness and time come in through tiny source objects (``next_bits`` /
 ``now``) so that every generator can be driven deterministically in tests
 and replayed from a seed. The defaults are the operating-system CSPRNG and
-the system clock.
+the system clock, both read inline. With no random source, each id is one
+fresh ``os.urandom`` call of 16 bytes (UUIDv4) or 10 bytes (UUIDv7, ULID);
+a UUID's version and variant bits are then overwritten in place by mask,
+which leaves the other bits as uniform as the draw. A supplied source is
+asked for exactly the random bits (122, 74 or 80), which are packed around
+the fixed fields, so a seeded stream replays bit for bit.
 """
 
 from __future__ import annotations
@@ -71,6 +76,10 @@ _VARIANT_SHIFT = 62
 # Version nibble and variant bits, folded once instead of shifted per call.
 _V4_FIXED = (0x4 << _VERSION_SHIFT) | (0b10 << _VARIANT_SHIFT)
 _V7_FIXED = (0x7 << _VERSION_SHIFT) | (0b10 << _VARIANT_SHIFT)
+# The bits an OS draw keeps: all but the version nibble and the variant bits,
+# of the whole value for v4 and of the 80 bits below the timestamp for v7.
+_V4_FREE = UID128_MAX ^ (0xF << _VERSION_SHIFT) ^ (0b11 << _VARIANT_SHIFT)
+_V7_FREE = RANDOM80_MAX ^ (0xF << _VERSION_SHIFT) ^ (0b11 << _VARIANT_SHIFT)
 
 # Longest interval, in seconds, that the samplers and producers may sleep.
 # time.sleep raises OverflowError far above it (1e300 s) and OSError already
@@ -219,9 +228,6 @@ class MonotonicState:
     last_random: int = 0
 
 
-_DEFAULT_ENTROPY = SystemEntropy()
-
-
 def check_timestamp48(millis: int) -> Timestamp48:
     """Validate a millisecond timestamp against the 48-bit field width."""
     if not 0 <= millis <= TIMESTAMP48_MAX:
@@ -230,9 +236,17 @@ def check_timestamp48(millis: int) -> Timestamp48:
 
 
 def generate_uuidv4(rng: RandomSource | None = None) -> Uid128:
-    """Generate a version-4 UUID: 122 random bits plus fixed version/variant."""
-    r = (rng or _DEFAULT_ENTROPY).next_bits(122)
-    return ((r >> 74) << 80) | (((r >> 62) & 0xFFF) << 64) | (r & _LOW62) | _V4_FIXED
+    """Generate a version-4 UUID: 122 random bits plus fixed version/variant.
+
+    With no ``rng``, 16 bytes of ``os.urandom`` are drawn and the version and
+    variant bits are overwritten by mask. A supplied ``rng`` gives exactly 122
+    bits, spread around the fixed fields.
+    """
+    if rng:
+        r = rng.next_bits(122)
+        return ((r >> 74) << 80) | (((r >> 62) & 0xFFF) << 64) | (r & _LOW62) | _V4_FIXED
+    # SystemEntropy.next_bits, inlined
+    return int.from_bytes(urandom(16), "big") & _V4_FREE | _V4_FIXED
 
 
 def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
@@ -241,12 +255,19 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
     The 12-bit field after the version nibble and the 62-bit field after the
     variant bits are both plain randomness (74 random bits total), so two
     identifiers from the same millisecond carry no ordering guarantee.
+
+    With no ``rng``, the 80 bits under the timestamp are 10 bytes of
+    ``os.urandom`` with the version and variant bits overwritten by mask. A
+    supplied ``rng`` gives exactly 74 bits, spread around the fixed fields.
     """
     ts = clock.now() if clock else time.time_ns() // 1_000_000  # SystemClock.now, inlined
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
-    r = (rng or _DEFAULT_ENTROPY).next_bits(74)
-    return (ts << 80) | ((r >> 62) << 64) | (r & _LOW62) | _V7_FIXED
+    if rng:
+        r = rng.next_bits(74)
+        return (ts << 80) | ((r >> 62) << 64) | (r & _LOW62) | _V7_FIXED
+    # SystemEntropy.next_bits, inlined
+    return (ts << 80) | (int.from_bytes(urandom(10), "big") & _V7_FREE) | _V7_FIXED
 
 
 def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
@@ -254,7 +275,8 @@ def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = N
     ts = clock.now() if clock else time.time_ns() // 1_000_000  # SystemClock.now, inlined
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
-    return (ts << 80) | (rng or _DEFAULT_ENTROPY).next_bits(80)
+    # SystemEntropy.next_bits, inlined
+    return (ts << 80) | (rng.next_bits(80) if rng else int.from_bytes(urandom(10), "big"))
 
 
 def next_monotonic_ulid(
@@ -275,7 +297,8 @@ def next_monotonic_ulid(
     if not 0 <= now <= TIMESTAMP48_MAX:
         check_timestamp48(now)  # raises; the range test is inlined to save a call per id
     if now > state.last_ts:
-        rand = (rng or _DEFAULT_ENTROPY).next_bits(80)
+        # SystemEntropy.next_bits, inlined
+        rand = rng.next_bits(80) if rng else int.from_bytes(urandom(10), "big")
         state.last_ts = now
         state.last_random = rand
         return (now << 80) | rand
