@@ -238,9 +238,8 @@ def check_timestamp48(millis: int) -> Timestamp48:
 def generate_uuidv4(rng: RandomSource | None = None) -> Uid128:
     """Generate a version-4 UUID: 122 random bits plus fixed version/variant.
 
-    With no ``rng``, 16 bytes of ``os.urandom`` are drawn and the version and
-    variant bits are overwritten by mask. A supplied ``rng`` gives exactly 122
-    bits, spread around the fixed fields.
+    With no ``rng`` the value is 16 ``os.urandom`` bytes with the fixed bits
+    overwritten by mask; a supplied ``rng`` gives 122 bits spread around them.
     """
     if rng:
         r = rng.next_bits(122)
@@ -256,9 +255,9 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
     variant bits are both plain randomness (74 random bits total), so two
     identifiers from the same millisecond carry no ordering guarantee.
 
-    With no ``rng``, the 80 bits under the timestamp are 10 bytes of
-    ``os.urandom`` with the version and variant bits overwritten by mask. A
-    supplied ``rng`` gives exactly 74 bits, spread around the fixed fields.
+    With no ``rng`` the 80 bits under the timestamp are 10 ``os.urandom`` bytes
+    with the fixed bits overwritten by mask; a supplied ``rng`` gives 74 bits
+    spread around them.
     """
     ts = clock.now() if clock else time.time_ns() // 1_000_000  # SystemClock.now, inlined
     if not 0 <= ts <= TIMESTAMP48_MAX:

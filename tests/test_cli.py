@@ -11,6 +11,7 @@ from uidlab import cli
 from uidlab import sim as sim_mod
 from uidlab.bench import CSV_HEADER, HEADLINE_RATIO_NOTE
 from uidlab.collision import UUIDV4_TABLE_NOTE
+from uidlab.core import SystemEntropy
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +65,29 @@ def test_gen_monotonic_sorted_output(capsys):
     assert status == 0
     assert lines == sorted(lines)
     assert len(set(lines)) == 50
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--scheme", "uuidv4"],
+        ["gen", "--scheme", "uuidv7"],
+        ["gen", "--scheme", "ulid"],
+        ["gen", "--scheme", "ulid", "--monotonic"],
+        ["bench", "--scheme", "uuidv4", "--samples", "3", "--interval-ms", "0", "--virtual-time"],
+    ],
+    ids=["gen-uuidv4", "gen-uuidv7", "gen-ulid", "gen-monotonic-ulid", "bench"],
+)
+def test_unseeded_commands_mint_on_the_inline_os_draw(capsys, monkeypatch, tmp_path, argv):
+    # Without --seed no random source is passed, so the generators read
+    # os.urandom inline and SystemEntropy.next_bits is never called.
+    def unused(self, k):
+        raise AssertionError("SystemEntropy.next_bits called")
+
+    monkeypatch.setattr(SystemEntropy, "next_bits", unused)
+    out = ["--out", str(tmp_path / "m.csv")] if argv[0] == "bench" else ["--count", "5"]
+    status, _, err = run_cli(capsys, *argv, *out)
+    assert (status, err) == (0, "")
 
 
 def _cold_env():

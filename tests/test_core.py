@@ -1,3 +1,4 @@
+import ast
 import copy
 import os
 import pickle
@@ -260,12 +261,18 @@ def test_default_clock_stamps_the_system_millisecond(generate):
     assert before <= value >> 80 <= after
 
 
-@pytest.mark.parametrize(
-    "generate, version",
-    [(generate_uuidv4, 4), (generate_uuidv7, 7)],
-    ids=["uuidv4", "uuidv7"],
-)
-def test_default_entropy_keeps_version_and_variant(generate, version, monkeypatch):
+# Each monotonic call gets a fresh state, so it always draws for a new millisecond.
+DEFAULT_PATH = [
+    (generate_uuidv4, 16, 4),
+    (generate_uuidv7, 10, 7),
+    (generate_ulid, 10, None),
+    (lambda: next_monotonic_ulid(MonotonicState()), 10, None),
+]
+DEFAULT_PATH_IDS = ["uuidv4", "uuidv7", "ulid", "monotonic-ulid"]
+
+
+@pytest.mark.parametrize("generate, size, version", DEFAULT_PATH, ids=DEFAULT_PATH_IDS)
+def test_default_entropy_keeps_version_and_variant(generate, size, version, monkeypatch):
     draws = []
 
     def counting_urandom(n):
@@ -274,11 +281,69 @@ def test_default_entropy_keeps_version_and_variant(generate, version, monkeypatc
 
     monkeypatch.setattr(core, "urandom", counting_urandom)
     values = [generate() for _ in range(64)]
-    assert len(draws) == 64  # one fresh draw per id
+    assert draws == [size] * 64  # one fresh draw per id, nothing pooled
     assert len(set(values)) == 64
     for value in values:
-        assert version_of(value) == version
-        assert variant_bits_of(value) == 0b10
+        if version is not None:
+            assert version_of(value) == version
+            assert variant_bits_of(value) == 0b10
+
+
+def _rfc_stamp(raw: bytes, version: int) -> int:
+    """RFC 9562 in bytes: octet 6's high nibble is the version, octet 8's top bits are 10."""
+    octets = bytearray(raw)
+    octets[6] = (version << 4) | (octets[6] & 0x0F)
+    octets[8] = 0x80 | (octets[8] & 0x3F)
+    return int.from_bytes(octets, "big")
+
+
+def test_default_path_overwrites_the_fixed_bits_of_the_os_draw(monkeypatch):
+    # With no random source the OS bytes are the id, bar the UUID version and
+    # variant bits; a draw that is not uniform shows which bits went where.
+    # Seven patterns over four draws a round hand each generator every one.
+    patterns = [b"\xff" * 16, b"\x00" * 16]
+    patterns += [bytes((0xA5 + 29 * i + 53 * j) & 0xFF for i in range(16)) for j in range(5)]
+    drawn = []
+
+    def fixed_urandom(n):
+        drawn.append(patterns[len(drawn) % len(patterns)][:n])
+        return drawn[-1]
+
+    monkeypatch.setattr(core, "urandom", fixed_urandom)
+    millis = 0x0123_4567_89AB
+    clock = FixedClock(millis)
+    for _ in patterns:
+        assert generate_uuidv4() == _rfc_stamp(drawn[-1], 4)
+        assert generate_uuidv7(clock) == _rfc_stamp(millis.to_bytes(6, "big") + drawn[-1], 7)
+        assert generate_ulid(clock) == (millis << 80) | int.from_bytes(drawn[-1], "big")
+        value = next_monotonic_ulid(MonotonicState(), clock)
+        assert value == (millis << 80) | int.from_bytes(drawn[-1], "big")
+    assert [len(raw) for raw in drawn] == [16, 10, 10, 10] * len(patterns)
+
+
+_FIXED_BITS = (0xF << 76) | (0b11 << 62)
+
+
+@pytest.mark.parametrize(
+    "generate, free, bits",
+    [
+        (generate_uuidv4, core.UID128_MAX ^ _FIXED_BITS, 122),
+        (generate_uuidv7, RANDOM80_MAX ^ _FIXED_BITS, 74),
+        (generate_ulid, RANDOM80_MAX, 80),
+        (lambda: next_monotonic_ulid(MonotonicState()), RANDOM80_MAX, 80),
+    ],
+    ids=DEFAULT_PATH_IDS,
+)
+def test_every_free_bit_of_the_default_path_takes_both_values(generate, free, bits):
+    # A given bit stuck at one value over 512 ids has odds of 2^-511.
+    assert bin(free).count("1") == bits
+    ones, zeros = 0, 0
+    for _ in range(512):
+        value = generate()
+        ones |= value
+        zeros |= ~value
+    assert ones & free == free
+    assert zeros & free == free
 
 
 def test_seeded_entropy_is_reproducible():
@@ -325,6 +390,19 @@ def test_system_entropy_is_one_fresh_urandom_call_per_draw(monkeypatch):
         # Exactly one call of ceil(k / 8) bytes: nothing is pooled between draws.
         assert calls == [(k + 7) // 8]
         assert drawn == reference.getrandbits(k)
+
+
+def test_int_bytes_conversions_name_their_byteorder():
+    # requires-python is >=3.10, and int.from_bytes / int.to_bytes take a
+    # default byteorder only from 3.11 on.
+    found = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in ("from_bytes", "to_bytes"):
+                    if len(node.args) < 2 and "byteorder" not in [kw.arg for kw in node.keywords]:
+                        found.append((path.name, node.lineno, ast.unparse(node)))
+    assert found == []
 
 
 def _cold_python(code: str) -> list[str]:
