@@ -261,17 +261,20 @@ def test_default_clock_stamps_the_system_millisecond(generate):
     assert before <= value >> 80 <= after
 
 
-# Each monotonic call gets a fresh state, so it always draws for a new millisecond.
-DEFAULT_PATH = [
-    (generate_uuidv4, 16, 4),
-    (generate_uuidv7, 10, 7),
-    (generate_ulid, 10, None),
-    (lambda: next_monotonic_ulid(MonotonicState()), 10, None),
-]
 DEFAULT_PATH_IDS = ["uuidv4", "uuidv7", "ulid", "monotonic-ulid"]
 
 
-@pytest.mark.parametrize("generate, size, version", DEFAULT_PATH, ids=DEFAULT_PATH_IDS)
+# Each monotonic call gets a fresh state, so it always draws for a new millisecond.
+@pytest.mark.parametrize(
+    "generate, size, version",
+    [
+        (generate_uuidv4, 16, 4),
+        (generate_uuidv7, 10, 7),
+        (generate_ulid, 10, None),
+        (lambda: next_monotonic_ulid(MonotonicState()), 10, None),
+    ],
+    ids=DEFAULT_PATH_IDS,
+)
 def test_default_entropy_keeps_version_and_variant(generate, size, version, monkeypatch):
     draws = []
 
