@@ -108,12 +108,14 @@ def ulid_decode(text: str) -> Uid128:
     ``bytes.translate`` through a 256-byte table maps valid characters to the
     base-32 digits that ``int(..., 32)`` reads and every other byte to ``!``.
     Text that comes out holding a ``!``, or is not ASCII, holds an invalid
-    character; the loop only names the first.
+    character; the loop only names the first. The ``isascii()`` test is what
+    lets the fast path encode without a codec name: UTF-8 gives the same bytes
+    for ASCII, and a lone surrogate, on which it raises, never reaches it.
     """
     if len(text) != ULID_TEXT_LENGTH:
         raise InvalidLength(f"ULID must be {ULID_TEXT_LENGTH} characters, got {len(text)}")
     if text.isascii():
-        digits = text.encode("ascii").translate(_TO_BASE32)
+        digits = text.encode().translate(_TO_BASE32)
         if 33 not in digits:
             value = int(digits, 32)
             if value <= UID128_MAX:
@@ -143,12 +145,13 @@ def uuid_parse(text: str) -> Uid128:
     table deletes the hyphens, keeps every hex digit and maps every other byte
     to ``!``; ``int(..., 16)`` reads the 32 digits left when none is a ``!``.
     Any other text with those hyphens holds a hyphen elsewhere or a non-hex
-    character, which the checks after it name.
+    character, which the checks after it name. As in :func:`ulid_decode`, the
+    ``isascii()`` test is what lets the fast path encode without a codec name.
     """
     if len(text) != UUID_TEXT_LENGTH:
         raise InvalidLength(f"UUID must be {UUID_TEXT_LENGTH} characters, got {len(text)}")
     if text[8:24:5] == "----" and text.isascii():
-        digits = text.encode("ascii").translate(_TO_HEX, b"-")
+        digits = text.encode().translate(_TO_HEX, b"-")
         if len(digits) == 32 and 33 not in digits:
             return int(digits, 16)
     if text.count("-") != 4 or text[8:24:5] != "----":

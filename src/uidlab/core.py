@@ -18,9 +18,10 @@ Randomness and time come in through tiny source objects (``next_bits`` /
 ``now``) so that every generator can be driven deterministically in tests
 and replayed from a seed. The defaults are the operating-system CSPRNG and
 the system clock, both read inline. With no random source, each id is one
-fresh ``os.urandom`` call of 16 bytes (UUIDv4) or 10 bytes (UUIDv7, ULID);
-a UUID's version and variant bits are then overwritten in place by mask,
-which leaves the other bits as uniform as the draw. A supplied source is
+fresh ``os.urandom`` call of 16 bytes (UUIDv4) or 10 bytes (UUIDv7, ULID),
+read through ``_from_bytes``, which is ``int.from_bytes`` bound once; a
+UUID's version and variant bits are then overwritten in place by mask, which
+leaves the other bits as uniform as the draw. A supplied source is
 asked for exactly the random bits (122, 74 or 80), which are packed around
 the fixed fields, so a seeded stream replays bit for bit.
 """
@@ -80,6 +81,8 @@ _V7_FIXED = (0x7 << _VERSION_SHIFT) | (0b10 << _VARIANT_SHIFT)
 # of the whole value for v4 and of the 80 bits below the timestamp for v7.
 _V4_FREE = UID128_MAX ^ (0xF << _VERSION_SHIFT) ^ (0b11 << _VARIANT_SHIFT)
 _V7_FREE = RANDOM80_MAX ^ (0xF << _VERSION_SHIFT) ^ (0b11 << _VARIANT_SHIFT)
+# Bound once: int.from_bytes is a classmethod, so each lookup builds a method.
+_from_bytes = int.from_bytes
 
 # Longest interval, in seconds, that the samplers and producers may sleep.
 # time.sleep raises OverflowError far above it (1e300 s) and OSError already
@@ -170,7 +173,7 @@ class SystemEntropy:
     def next_bits(self, k: int) -> int:
         if not 0 <= k <= 128:
             raise ValueError(f"bit count must be in [0, 128], got {k}")
-        return int.from_bytes(urandom((k + 7) >> 3), "big") >> (-k & 7)
+        return _from_bytes(urandom((k + 7) >> 3), "big") >> (-k & 7)
 
 
 class SeededEntropy:
@@ -245,7 +248,7 @@ def generate_uuidv4(rng: RandomSource | None = None) -> Uid128:
         r = rng.next_bits(122)
         return ((r >> 74) << 80) | (((r >> 62) & 0xFFF) << 64) | (r & _LOW62) | _V4_FIXED
     # SystemEntropy.next_bits, inlined
-    return int.from_bytes(urandom(16), "big") & _V4_FREE | _V4_FIXED
+    return _from_bytes(urandom(16), "big") & _V4_FREE | _V4_FIXED
 
 
 def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
@@ -266,7 +269,7 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
         r = rng.next_bits(74)
         return (ts << 80) | ((r >> 62) << 64) | (r & _LOW62) | _V7_FIXED
     # SystemEntropy.next_bits, inlined
-    return (ts << 80) | (int.from_bytes(urandom(10), "big") & _V7_FREE) | _V7_FIXED
+    return (ts << 80) | (_from_bytes(urandom(10), "big") & _V7_FREE) | _V7_FIXED
 
 
 def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
@@ -275,7 +278,7 @@ def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = N
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
     # SystemEntropy.next_bits, inlined
-    return (ts << 80) | (rng.next_bits(80) if rng else int.from_bytes(urandom(10), "big"))
+    return (ts << 80) | (rng.next_bits(80) if rng else _from_bytes(urandom(10), "big"))
 
 
 def next_monotonic_ulid(
@@ -297,7 +300,7 @@ def next_monotonic_ulid(
         check_timestamp48(now)  # raises; the range test is inlined to save a call per id
     if now > state.last_ts:
         # SystemEntropy.next_bits, inlined
-        rand = rng.next_bits(80) if rng else int.from_bytes(urandom(10), "big")
+        rand = rng.next_bits(80) if rng else _from_bytes(urandom(10), "big")
         state.last_ts = now
         state.last_random = rand
         return (now << 80) | rand
