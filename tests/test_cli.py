@@ -210,6 +210,25 @@ def test_decode_bad_input_fails(capsys):
     assert "error" in err
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="argv is text on Windows")
+@pytest.mark.parametrize(
+    "arg, message",
+    [
+        (b"\xff" + b"0" * 25, "character '\\udcff' is not in the ULID alphabet"),
+        (b"00000000-0000-4000-8000-00000000000\xff", "character '\\udcff' is not a hexadecimal digit"),
+    ],
+)
+def test_decode_non_utf8_argument_exits_one_without_traceback(arg, message):
+    # Python reads an argv byte that is not UTF-8 as a lone surrogate, which
+    # the decoders' fast paths must leave to the loop that names it.
+    env = dict(_cold_env(), PYTHONUTF8="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "uidlab.cli", "decode", arg], env=env, capture_output=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == f"error: {message}\n"
+
+
 def test_model_table_values_and_note(capsys):
     status, out, _ = run_cli(capsys, "model", "--table")
     assert status == 0

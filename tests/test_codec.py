@@ -149,6 +149,30 @@ def test_decode_fast_paths_translate_without_a_delete_set():
     assert found == []
 
 
+def test_hot_paths_resolve_nothing_per_call():
+    # int.from_bytes builds a bound method at each read, and encode("ascii")
+    # parses its argument and normalises the codec name on every call. core
+    # reads a name bound once instead, and the decoders encode text that their
+    # isascii() test has passed, where the UTF-8 default gives the same bytes.
+    # Module-level code runs once, at import, and is exempt.
+    def in_functions(module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        return [inner for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) for inner in ast.walk(node)]
+
+    found = [
+        ("core", node.lineno, ast.unparse(node))
+        for node in in_functions(core)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "int.from_bytes"
+    ]
+    found += [
+        ("codec", node.lineno, ast.unparse(node))
+        for node in in_functions(codec)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "encode"
+        and (node.args or node.keywords)
+    ]
+    assert found == []
+
+
 def test_ulid_alphabet_is_strictly_increasing():
     codes = [ord(c) for c in CROCKFORD_ALPHABET]
     assert codes == sorted(codes)
@@ -317,9 +341,11 @@ def outcome(decoder, text):
 
 # Characters int() accepts or reinterprets where the loops reject them: the
 # digit separator, whitespace, signs, base-36 'U', the hex prefix 'x', and
-# non-ASCII decimal digits (ARABIC-INDIC THREE, FULLWIDTH ONE); and '!', the
-# byte the decode tables map every invalid character to.
-TRAPS = ["_", " ", "\t", "+", "-", "U", "u", "x", "X", "\u0663", "\uff11", "!"]
+# non-ASCII decimal digits (ARABIC-INDIC THREE, FULLWIDTH ONE); '!', the
+# byte the decode tables map every invalid character to; and lone surrogates,
+# on which the fast paths' UTF-8 encode would raise (a non-UTF-8 argv byte
+# reads as one of U+DC80 to U+DCFF).
+TRAPS = ["_", " ", "\t", "+", "-", "U", "u", "x", "X", "\u0663", "\uff11", "!", "\ud800", "\udcff"]
 ULID_CHARS = CROCKFORD_ALPHABET + CROCKFORD_ALPHABET.lower() + "IiLlOo"
 HEX_CHARS = "0123456789abcdefABCDEF-"
 uids = st.integers(0, UID_MAX)

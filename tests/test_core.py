@@ -397,14 +397,24 @@ def test_system_entropy_is_one_fresh_urandom_call_per_draw(monkeypatch):
 
 def test_int_bytes_conversions_name_their_byteorder():
     # requires-python is >=3.10, and int.from_bytes / int.to_bytes take a
-    # default byteorder only from 3.11 on.
+    # default byteorder only from 3.11 on. A module-level name bound to one of
+    # them (_from_bytes = int.from_bytes) is checked at its calls too; through
+    # int.to_bytes the int itself comes first, so the byteorder is argument 3.
     found = []
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in ("from_bytes", "to_bytes"):
-                    if len(node.args) < 2 and "byteorder" not in [kw.arg for kw in node.keywords]:
-                        found.append((path.name, node.lineno, ast.unparse(node)))
+        tree = ast.parse(path.read_text(), str(path))
+        byteorder_at = {"int.to_bytes": 3}  # callee -> position of its byteorder argument
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.value) in ("int.from_bytes", "int.to_bytes"):
+                for target in node.targets:
+                    byteorder_at[ast.unparse(target)] = byteorder_at.get(ast.unparse(node.value), 2)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                needed = byteorder_at.get(ast.unparse(node.func))
+                if needed is None and isinstance(node.func, ast.Attribute):
+                    needed = 2 if node.func.attr in ("from_bytes", "to_bytes") else None
+                if needed and len(node.args) < needed and "byteorder" not in [kw.arg for kw in node.keywords]:
+                    found.append((path.name, node.lineno, ast.unparse(node)))
     assert found == []
 
 
