@@ -10,6 +10,7 @@ from pathlib import Path
 from . import codec
 from . import sim as sim_mod
 from .core import (
+    EventCountMismatch,
     IdScheme,
     MonotonicState,
     RandomOverflow,
@@ -20,8 +21,9 @@ __all__ = ["main"]
 
 # A run that fails with one of these exits 1 with an "error:" line; any other
 # exception is a crash and keeps its traceback. bench and collision are
-# imported by the commands that use them, so the other commands start faster.
-_RUN_ERRORS = (OSError, ValueError, RandomOverflow, sim_mod.EventCountMismatch)
+# imported by the commands that use them, and sim loads only when the sim
+# command reads it, so the other commands start faster.
+_RUN_ERRORS = (OSError, ValueError, RandomOverflow, EventCountMismatch)
 
 # Marks a figure counted on a virtual clock (sim --deterministic, bench
 # --virtual-time) in text output; the sim CSV names its clock in a column.

@@ -107,6 +107,17 @@ class ZeroDuration(ValueError):
     """Bandwidth over a non-positive time span is undefined."""
 
 
+class EventCountMismatch(RuntimeError):
+    """The topic holds a different number of events than the producers made.
+
+    Raised by ``sim.run_simulation``, and kept here so the CLI can catch it
+    without loading sim. A program fault, not a property of the run: the
+    report's "conserved" compares only what the topic, the offsets and the
+    sink hold, so an event lost before it reached the topic would otherwise
+    go unseen.
+    """
+
+
 class IdScheme(enum.Enum):
     """The three identifier schemes and their fixed bit budgets.
 

@@ -22,9 +22,10 @@ import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import codec
+from . import _LAZY, codec
 from .core import (
     _MAX_SLEEP_S,
+    EventCountMismatch,
     FixedClock,
     IdScheme,
     MonotonicState,
@@ -35,19 +36,7 @@ from .core import (
     bandwidth_mbps,
 )
 
-__all__ = [
-    "Event",
-    "Topic",
-    "Sink",
-    "SimConfig",
-    "SimReport",
-    "TopicClosed",
-    "UnknownPartition",
-    "EventCountMismatch",
-    "partition_for",
-    "run_simulation",
-    "verify_ordering",
-]
+__all__ = list(_LAZY["sim"])
 
 # Epoch for the deterministic mode's virtual clock (fixed, arbitrary).
 _VIRTUAL_EPOCH_MS = 1_700_000_000_000
@@ -61,15 +50,6 @@ class TopicClosed(RuntimeError):
 
 class UnknownPartition(ValueError):
     pass
-
-
-class EventCountMismatch(RuntimeError):
-    """The topic holds a different number of events than the producers made.
-
-    A program fault, not a property of the run: the report's "conserved"
-    compares only what the topic, the offsets and the sink hold, so an event
-    lost before it reached the topic would otherwise go unseen.
-    """
 
 
 class Event(NamedTuple):

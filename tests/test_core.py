@@ -450,7 +450,7 @@ def test_import_loads_collision_and_bench_on_first_use():
     assert _cold_python(code) == ["[]", "[]", "True", "False", "[True, True, True, True]", "[]"]
 
 
-@pytest.mark.parametrize("module", ["bench", "collision"])
+@pytest.mark.parametrize("module", ["bench", "collision", "sim"])
 def test_lazy_module_imported_first_exports_its_lazy_names(module):
     # Importing a lazy module first still runs the package __init__ first, which
     # defines the _LAZY the module reads its __all__ from.
@@ -463,6 +463,69 @@ def test_lazy_module_imported_first_exports_its_lazy_names(module):
         f"print(uidlab.{module}.__all__ == list(uidlab._LAZY[{module!r}]))",
     ])
     assert _cold_python(code) == ["True", "True"]
+
+
+# Prepended to a _cold_python script: records the file of every code object
+# that exec() runs, which is every module body, and counts those of a uidlab
+# module by name.
+_RECORD_EXECS = "\n".join([
+    "import os, sys",
+    "ran = []",
+    "sys.addaudithook(lambda event, args: event == 'exec' and ran.append(args[0].co_filename))",
+    "def runs(module):",
+    "    return sum(path.endswith(os.path.join('uidlab', module + '.py')) for path in ran)",
+])
+
+
+def test_import_runs_sim_code_on_first_use_with_sim_in_sys_modules():
+    # The benchmark's tracer looks sim up in sys.modules, so it is there unrun.
+    code = "\n".join([
+        _RECORD_EXECS,
+        "import uidlab, uidlab.cli",
+        "print([module for module in ('sim', 'bench', 'collision') if runs(module)], 'uidlab.sim' in sys.modules)",
+        "config = uidlab.SimConfig",
+        "print(runs('sim'), config is sys.modules['uidlab.sim'].SimConfig)",
+        "print(uidlab.EventCountMismatch is uidlab.sim.EventCountMismatch is uidlab.core.EventCountMismatch)",
+        "print(runs('sim'), 'EventCountMismatch' in uidlab.core.__all__)",
+    ])
+    assert _cold_python(code) == ["[] True", "1 True", "True", "1 False"]
+
+
+def test_cli_commands_other_than_sim_run_no_sim_code():
+    code = "\n".join([
+        _RECORD_EXECS,
+        "import contextlib, io",
+        "from uidlab import cli",
+        "commands = [['gen', '--scheme', 'ulid', '--count', '2'], ['encode', '--to', 'uuid', '0x1'],",
+        "            ['decode', '01ARZ3NDEKTSV4RRFFQ69G5FAV'], ['model', '--table']]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    statuses = [cli.main(command) for command in commands]",
+        "print(statuses, runs('sim'))",
+        "with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "    status = cli.main(['sim', '--scheme', 'ulid', '--events', '10', '--deterministic'])",
+        "print(status, runs('sim'), 'events stored' in out.getvalue())",
+    ])
+    assert _cold_python(code) == ["[0, 0, 0, 0] 0", "0 1 True"]
+
+
+def test_attribute_set_on_sim_before_its_first_load_survives_the_load():
+    # CPython's lazy module re-applies what was set on it before it ran the
+    # module's code, which a patch made that early relies on. Python 3.12
+    # rewrote that class, so this pins the behaviour.
+    code = "\n".join([
+        _RECORD_EXECS,
+        "import zlib, uidlab",
+        "hashed = []",
+        "def partition_for(id_text, partitions):",
+        "    hashed.append(id_text)",
+        "    return zlib.crc32(id_text.encode('ascii')) % partitions",
+        "uidlab.sim.partition_for = partition_for",
+        "print(runs('sim'))",
+        "config = uidlab.SimConfig(uidlab.IdScheme.ULID, producers=2, events_per_producer=5, deterministic=True)",
+        "report = uidlab.sim.run_simulation(config)",
+        "print(runs('sim'), uidlab.sim.partition_for is partition_for, len(hashed), report.stored_total)",
+    ])
+    assert _cold_python(code) == ["0", "1 True 10 10"]
 
 
 def test_unknown_package_name_raises_attribute_error():
