@@ -59,18 +59,21 @@ class MisplacedHyphen(CodecError):
 
 
 # Decoding accepts lowercase plus the Crockford aliases; 'U' stays invalid.
-_ULID_DIGIT = {c: i for i, c in enumerate(CROCKFORD_ALPHABET)}
-_ULID_DIGIT.update({c.lower(): i for i, c in enumerate(CROCKFORD_ALPHABET)})
-_ULID_DIGIT.update({"O": 0, "o": 0, "I": 1, "i": 1, "L": 1, "l": 1})
+# Rejects name the first character left after str.lstrip of these.
+_ULID_CHARS = CROCKFORD_ALPHABET + CROCKFORD_ALPHABET.lower() + "OoIiLl"
+_HEX_CHARS = "0123456789abcdefABCDEF-"
 
-# Decoding fast path, as 256-byte tables for bytes.translate: an accepted
-# character maps to the digit int() reads, and every other byte to the
-# sentinel '!' (33), so text whose digits hold a 33 goes to the loop. The
-# invalid bytes are not deleted: CPython walks a delete set into a fresh
-# 256-entry lookup on every call, which for about 200 bytes cost more than
-# the int() after it. Test for the sentinel with the int 33: a bytes needle
-# first raises and clears a TypeError inside CPython.
-_TO_BASE32 = "".join("0123456789abcdefghijklmnopqrstuv!"[_ULID_DIGIT.get(chr(b), 32)] for b in range(256)).encode()
+# ULID decoding fast path, as a 256-byte table for bytes.translate: the
+# character at index i of _ULID_CHARS maps to the digit int() reads for it,
+# and every other byte, which find() misses with -1, to the sentinel '!'
+# (33), so text whose digits hold a 33 is rejected. The invalid bytes are not
+# deleted: CPython walks a delete set into a fresh 256-entry lookup on every
+# call, which for about 200 bytes cost more than the int() after it. Test for
+# the sentinel with the int 33: a bytes needle first raises and clears a
+# TypeError inside CPython.
+_TO_BASE32 = bytes(
+    (b"0123456789abcdefghijklmnopqrstuv" * 2 + b"001111!")[_ULID_CHARS.find(chr(b))] for b in range(256)
+)
 
 # Encoding spreads the 26 five-bit digits of a value one per byte, then maps
 # each byte to its character. Digit j, counted from the least significant,
@@ -83,8 +86,10 @@ _M4, _M3, _M2, _M1, _M0 = (
     for k in (4, 3, 2, 1, 0)
 )
 _BYTE_TO_CHAR = bytes.maketrans(bytes(range(32)), CROCKFORD_ALPHABET.encode("ascii"))
-_HEX_DIGITS = set("0123456789abcdefABCDEF")
-_TO_HEX = bytes(b if chr(b) in _HEX_DIGITS else 33 for b in range(256))
+
+# Bound once: both are classmethods, so each lookup builds a method.
+_fromhex = bytes.fromhex
+_from_bytes = int.from_bytes
 
 
 def ulid_encode(value: Uid128) -> str:
@@ -108,9 +113,10 @@ def ulid_decode(text: str) -> Uid128:
     ``bytes.translate`` through a 256-byte table maps valid characters to the
     base-32 digits that ``int(..., 32)`` reads and every other byte to ``!``.
     Text that comes out holding a ``!``, or is not ASCII, holds an invalid
-    character; the loop only names the first. The ``isascii()`` test is what
-    lets the fast path encode without a codec name: UTF-8 gives the same bytes
-    for ASCII, and a lone surrogate, on which it raises, never reaches it.
+    character, and the first one left after ``str.lstrip`` of the accepted
+    characters is the one named. The ``isascii()`` test is what lets the fast
+    path encode without a codec name: UTF-8 gives the same bytes for ASCII,
+    and a lone surrogate, on which it raises, never reaches it.
     """
     if len(text) != ULID_TEXT_LENGTH:
         raise InvalidLength(f"ULID must be {ULID_TEXT_LENGTH} characters, got {len(text)}")
@@ -121,9 +127,7 @@ def ulid_decode(text: str) -> Uid128:
             if value <= UID128_MAX:
                 return value
             raise Overflow("leading character above '7' does not fit in 128 bits")
-    for ch in text:
-        if ch not in _ULID_DIGIT:
-            raise InvalidCharacter(f"character {ch!r} is not in the ULID alphabet")
+    raise InvalidCharacter(f"character {text.lstrip(_ULID_CHARS)[0]!r} is not in the ULID alphabet")
 
 
 def uuid_format(value: Uid128) -> str:
@@ -141,24 +145,29 @@ def uuid_format(value: Uid128) -> str:
 def uuid_parse(text: str) -> Uid128:
     """Parse a hyphenated UUID string (either case) back to its 128-bit value.
 
-    With the four hyphens in place, one ``bytes.translate`` through a 256-byte
-    table deletes the hyphens, keeps every hex digit and maps every other byte
-    to ``!``; ``int(..., 16)`` reads the 32 digits left when none is a ``!``.
-    Any other text with those hyphens holds a hyphen elsewhere or a non-hex
-    character, which the checks after it name. As in :func:`ulid_decode`, the
-    ``isascii()`` test is what lets the fast path encode without a codec name.
+    With the four hyphens in place and no other, the 32 characters left when
+    they are removed go through ``bytes.fromhex``, which raises on any
+    non-hex or non-ASCII character, lone surrogates included, and
+    ``int.from_bytes`` reads the octets. ``fromhex`` skips ASCII whitespace
+    between byte pairs, so text holding some gives fewer than 16 octets and
+    is rejected too. The checks after name the fault: a hyphen elsewhere, or
+    the first character left after ``str.lstrip`` of the hex digits.
     """
     if len(text) != UUID_TEXT_LENGTH:
         raise InvalidLength(f"UUID must be {UUID_TEXT_LENGTH} characters, got {len(text)}")
-    if text[8:24:5] == "----" and text.isascii():
-        digits = text.encode().translate(_TO_HEX, b"-")
-        if len(digits) == 32 and 33 not in digits:
-            return int(digits, 16)
+    if text[8:24:5] == "----":
+        digits = text.replace("-", "")
+        if len(digits) == 32:
+            try:
+                octets = _fromhex(digits)
+            except ValueError:
+                pass
+            else:
+                if len(octets) == 16:
+                    return _from_bytes(octets, "big")
     if text.count("-") != 4 or text[8:24:5] != "----":
         raise MisplacedHyphen("hyphens must sit at positions 8, 13, 18 and 23")
-    for ch in text:
-        if ch not in _HEX_DIGITS and ch != "-":
-            raise InvalidCharacter(f"character {ch!r} is not a hexadecimal digit")
+    raise InvalidCharacter(f"character {text.lstrip(_HEX_CHARS)[0]!r} is not a hexadecimal digit")
 
 
 def minter(scheme: IdScheme, clock=None, rng=None, state=None):

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import random
 import uuid
 from pathlib import Path
@@ -128,18 +129,12 @@ def test_decode_fast_paths_translate_without_a_delete_set():
     # From a delete set, bytes.translate rebuilds a 256-entry lookup on every
     # call; a bytes needle in an `in` test raises and clears a TypeError before
     # its subsequence search. Every table maps invalid bytes to '!' instead,
-    # found with the int needle 33; only the one byte b"-" may be deleted.
+    # found with the int needle 33, and no call deletes any byte.
     tree = ast.parse(Path(codec.__file__).read_text())
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "translate":
-            delete = node.args[1:] + [kw.value for kw in node.keywords]
-            if delete and not (
-                len(delete) == 1
-                and isinstance(delete[0], ast.Constant)
-                and isinstance(delete[0].value, bytes)
-                and len(delete[0].value) == 1
-            ):
+            if node.args[1:] or node.keywords:
                 found.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, ast.Compare):
             for op, needle in zip(node.ops, [node.left, *node.comparators]):
@@ -150,11 +145,12 @@ def test_decode_fast_paths_translate_without_a_delete_set():
 
 
 def test_hot_paths_resolve_nothing_per_call():
-    # int.from_bytes builds a bound method at each read, and encode("ascii")
-    # parses its argument and normalises the codec name on every call. core
-    # reads a name bound once instead, and the decoders encode text that their
-    # isascii() test has passed, where the UTF-8 default gives the same bytes.
-    # Module-level code runs once, at import, and is exempt.
+    # int.from_bytes and bytes.fromhex are classmethods and build a bound
+    # method at each read, and encode("ascii") parses its argument and
+    # normalises the codec name on every call. core and codec read names bound
+    # once instead, and ulid_decode encodes text that its isascii() test has
+    # passed, where the UTF-8 default gives the same bytes. Module-level code
+    # runs once, at import, and is exempt.
     def in_functions(module):
         tree = ast.parse(Path(module.__file__).read_text())
         return [inner for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) for inner in ast.walk(node)]
@@ -167,8 +163,11 @@ def test_hot_paths_resolve_nothing_per_call():
     found += [
         ("codec", node.lineno, ast.unparse(node))
         for node in in_functions(codec)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "encode"
-        and (node.args or node.keywords)
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "encode"
+            and (node.args or node.keywords)
+        )
+        or (isinstance(node, ast.Attribute) and ast.unparse(node) in ("int.from_bytes", "bytes.fromhex"))
     ]
     assert found == []
 
@@ -340,12 +339,15 @@ def outcome(decoder, text):
 
 
 # Characters int() accepts or reinterprets where the loops reject them: the
-# digit separator, whitespace, signs, base-36 'U', the hex prefix 'x', and
+# digit separator, the ASCII whitespace that int() strips and bytes.fromhex
+# skips between byte pairs, signs, base-36 'U', the hex prefix 'x', and
 # non-ASCII decimal digits (ARABIC-INDIC THREE, FULLWIDTH ONE); '!', the
-# byte the decode tables map every invalid character to; and lone surrogates,
-# on which the fast paths' UTF-8 encode would raise (a non-UTF-8 argv byte
+# byte the ULID decode table maps every invalid character to; and lone
+# surrogates, on which a UTF-8 encode would raise (a non-UTF-8 argv byte
 # reads as one of U+DC80 to U+DCFF).
-TRAPS = ["_", " ", "\t", "+", "-", "U", "u", "x", "X", "\u0663", "\uff11", "!", "\ud800", "\udcff"]
+TRAPS = [
+    "_", " ", "\t", "\n", "\r", "\x0b", "\x0c", "+", "-", "U", "u", "x", "X", "\u0663", "\uff11", "!", "\ud800", "\udcff"
+]
 ULID_CHARS = CROCKFORD_ALPHABET + CROCKFORD_ALPHABET.lower() + "IiLlOo"
 HEX_CHARS = "0123456789abcdefABCDEF-"
 uids = st.integers(0, UID_MAX)
@@ -433,14 +435,33 @@ def test_uuid_parse_matches_reference_on_every_substitution(position):
         assert outcome(uuid_parse, text) == outcome(reference_uuid_parse, text), repr(ch)
 
 
+def test_uuid_parse_matches_reference_with_ascii_whitespace():
+    # bytes.fromhex skips ASCII whitespace before a byte pair: two whitespace
+    # characters in place of one pair leave 32 characters that read as 15
+    # octets, which only the 16-octet test rejects. One in place of a single
+    # digit splits a pair, and fromhex raises.
+    whitespace = " \t\n\r\x0b\x0c"
+    valid = uuid_format(0x0123456789ABCDEF0123456789ABCDEF)
+    digit_at = [i for i, ch in enumerate(valid) if ch != "-"]
+    for i, a, b in itertools.product(digit_at[::2], whitespace, whitespace):
+        # No hyphen splits a pair: every group holds an even number of digits.
+        text = valid[:i] + a + b + valid[i + 2 :]
+        assert len(bytes.fromhex(text.replace("-", ""))) == 15
+        assert outcome(uuid_parse, text) == outcome(reference_uuid_parse, text), (i, a, b)
+    for i, a in itertools.product(digit_at, whitespace):
+        text = valid[:i] + a + valid[i + 1 :]
+        assert outcome(uuid_parse, text) == outcome(reference_uuid_parse, text), (i, a)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(text_of(26, ULID_CHARS), text_of(36, HEX_CHARS)))
 @example(ulid_encode(UID_MAX))
 @example(uuid_format(UID_MAX))
 @example("8ZZZZZZZZZZZZZZZZZZZZZZZZZ")
 def test_decode_returns_an_int_or_raises_a_codec_error(text):
-    # The reject loops only look for an invalid character; one that finds
-    # none would fall off the end of the decoder and return None.
+    # A reject names the first character that str.lstrip of the accepted ones
+    # leaves; were it to leave none, indexing it would raise IndexError,
+    # which is not a CodecError either.
     result = outcome(codec.decode, text)
     assert type(result) is int or issubclass(result[0], CodecError), result
 
