@@ -57,12 +57,16 @@ _non_negative_int = _int_at_least(0)
 
 
 def _parse_uid_value(text: str) -> int:
+    """Read ASCII decimal digits, 0x or 0X and hex digits, or 32 hex digits (read as hex)."""
     t = text.strip()
-    if t.lower().startswith("0x"):
-        return int(t, 16)
-    if len(t) == 32 and all(c in "0123456789abcdefABCDEF" for c in t):
-        return int(t, 16)
-    return int(t, 10)
+    prefixed = t[:2] in ("0x", "0X")
+    digits = t[2:] if prefixed else t
+    if digits and not digits.lstrip("0123456789abcdefABCDEF"):
+        if prefixed or len(t) == 32:
+            return int(digits, 16)
+        if t.isdigit():
+            return int(t)
+    raise ValueError(f"invalid value {text!r}: expected decimal, 0x-prefixed or 32-digit hex")
 
 
 def _make_rng(seed):

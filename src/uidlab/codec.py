@@ -12,6 +12,8 @@ characters including the four hyphens.
 
 from __future__ import annotations
 
+from binascii import unhexlify as _unhexlify
+
 from . import core
 from .core import UID128_MAX, IdScheme, Uid128
 
@@ -87,8 +89,8 @@ _M4, _M3, _M2, _M1, _M0 = (
 )
 _BYTE_TO_CHAR = bytes.maketrans(bytes(range(32)), CROCKFORD_ALPHABET.encode("ascii"))
 
-# Bound once: both are classmethods, so each lookup builds a method.
-_fromhex = bytes.fromhex
+# Bound once: a classmethod builds a method at each lookup. _unhexlify, from
+# the C extension module binascii, is bound once by its import.
 _from_bytes = int.from_bytes
 
 
@@ -146,12 +148,11 @@ def uuid_parse(text: str) -> Uid128:
     """Parse a hyphenated UUID string (either case) back to its 128-bit value.
 
     With the four hyphens in place and no other, the 32 characters left when
-    they are removed go through ``bytes.fromhex``, which raises on any
-    non-hex or non-ASCII character, lone surrogates included, and
-    ``int.from_bytes`` reads the octets. ``fromhex`` skips ASCII whitespace
-    between byte pairs, so text holding some gives fewer than 16 octets and
-    is rejected too. The checks after name the fault: a hyphen elsewhere, or
-    the first character left after ``str.lstrip`` of the hex digits.
+    they are removed go through ``binascii.unhexlify``, which raises on any
+    character that is not a hex digit, whitespace, non-ASCII characters and
+    lone surrogates included, so only 32 hex digits reach ``int.from_bytes``,
+    as 16 octets. The checks after name the fault: a hyphen elsewhere, or the
+    first character left after ``str.lstrip`` of the hex digits.
     """
     if len(text) != UUID_TEXT_LENGTH:
         raise InvalidLength(f"UUID must be {UUID_TEXT_LENGTH} characters, got {len(text)}")
@@ -159,12 +160,9 @@ def uuid_parse(text: str) -> Uid128:
         digits = text.replace("-", "")
         if len(digits) == 32:
             try:
-                octets = _fromhex(digits)
+                return _from_bytes(_unhexlify(digits), "big")
             except ValueError:
                 pass
-            else:
-                if len(octets) == 16:
-                    return _from_bytes(octets, "big")
     if text.count("-") != 4 or text[8:24:5] != "----":
         raise MisplacedHyphen("hyphens must sit at positions 8, 13, 18 and 23")
     raise InvalidCharacter(f"character {text.lstrip(_HEX_CHARS)[0]!r} is not a hexadecimal digit")

@@ -190,6 +190,16 @@ def test_encode_reads_decimal_and_hex_values(capsys, value, expected):
     assert out == expected + "\n"
 
 
+@pytest.mark.parametrize("value", ["\u0661\u0662\u0663", "1_0", "+5", "0x_ff"])
+def test_encode_rejects_what_only_int_reads(capsys, value):
+    # int() reads non-ASCII decimal digits, digit separators and a sign; the
+    # help promises decimal, 0x-prefixed or 32-digit hex values only.
+    status, out, err = run_cli(capsys, "encode", "--to", "uuid", value)
+    assert status == 1
+    assert out == ""
+    assert err == f"error: invalid value {value!r}: expected decimal, 0x-prefixed or 32-digit hex\n"
+
+
 @pytest.mark.parametrize("target", ["ulid", "uuid"])
 def test_encode_rejects_value_past_128_bits(capsys, target):
     status, out, err = run_cli(capsys, "encode", "--to", target, "0x1" + "0" * 32)

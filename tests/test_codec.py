@@ -146,11 +146,12 @@ def test_decode_fast_paths_translate_without_a_delete_set():
 
 def test_hot_paths_resolve_nothing_per_call():
     # int.from_bytes and bytes.fromhex are classmethods and build a bound
-    # method at each read, and encode("ascii") parses its argument and
-    # normalises the codec name on every call. core and codec read names bound
-    # once instead, and ulid_decode encodes text that its isascii() test has
-    # passed, where the UTF-8 default gives the same bytes. Module-level code
-    # runs once, at import, and is exempt.
+    # method at each read, a binascii function read through its module costs
+    # a module attribute lookup per call, and encode("ascii") parses its
+    # argument and normalises the codec name on every call. core and codec read
+    # names bound once instead, and ulid_decode encodes text that its isascii()
+    # test has passed, where the UTF-8 default gives the same bytes.
+    # Module-level code runs once, at import, and is exempt.
     def in_functions(module):
         tree = ast.parse(Path(module.__file__).read_text())
         return [inner for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) for inner in ast.walk(node)]
@@ -167,7 +168,10 @@ def test_hot_paths_resolve_nothing_per_call():
             isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "encode"
             and (node.args or node.keywords)
         )
-        or (isinstance(node, ast.Attribute) and ast.unparse(node) in ("int.from_bytes", "bytes.fromhex"))
+        or (
+            isinstance(node, ast.Attribute)
+            and (ast.unparse(node) in ("int.from_bytes", "bytes.fromhex") or ast.unparse(node.value) == "binascii")
+        )
     ]
     assert found == []
 
@@ -436,10 +440,10 @@ def test_uuid_parse_matches_reference_on_every_substitution(position):
 
 
 def test_uuid_parse_matches_reference_with_ascii_whitespace():
-    # bytes.fromhex skips ASCII whitespace before a byte pair: two whitespace
-    # characters in place of one pair leave 32 characters that read as 15
-    # octets, which only the 16-octet test rejects. One in place of a single
-    # digit splits a pair, and fromhex raises.
+    # A reader that skips ASCII whitespace before a byte pair, as bytes.fromhex
+    # does, turns two whitespace characters in place of one pair into 15
+    # octets from 32 characters; binascii.unhexlify rejects them outright.
+    # One in place of a single digit splits a pair, and both readers raise.
     whitespace = " \t\n\r\x0b\x0c"
     valid = uuid_format(0x0123456789ABCDEF0123456789ABCDEF)
     digit_at = [i for i, ch in enumerate(valid) if ch != "-"]
