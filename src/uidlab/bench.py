@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import _LAZY, codec
 from .codec import serialized_size
@@ -232,3 +233,12 @@ def summarize(samples) -> BenchSummary:
 def metrics_filename(scheme: IdScheme) -> str:
     """Conventional output name, metrics_<SCHEME>.csv."""
     return f"metrics_{scheme.value}.csv"
+
+
+def _metrics_scheme(path) -> IdScheme | None:
+    """The scheme named by a metrics_<SCHEME> file name, the inverse of metrics_filename; else None."""
+    stem = Path(path).stem
+    try:
+        return IdScheme.parse(stem[len("metrics_"):]) if stem.startswith("metrics_") else None
+    except ValueError:
+        return None

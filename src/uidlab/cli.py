@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import codec
@@ -37,23 +38,31 @@ def _scheme_arg(text: str) -> IdScheme:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _int_at_least(low: int):
-    """An argparse type for an int of at least ``low``."""
+def _number(kind, low=None):
+    """An argparse type for an ASCII ``kind``, int or float, of at least ``low``.
 
-    def parse(text: str) -> int:
+    An int is decimal digits after an optional '-'; a float is what float()
+    reads, save non-ASCII text and '_' separators.
+    """
+
+    def parse(text: str):
+        digits = text.strip().removeprefix("-")
+        ascii_only = not digits.lstrip("0123456789") if kind is int else text.isascii() and "_" not in text
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
+            value = kind(text) if ascii_only else None
+        except ValueError:  # not a number, or longer than int() reads
+            value = None
+        if value is None:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
+_int, _float = _number(int), _number(float)
+_positive_int, _non_negative_int = _number(int, 1), _number(int, 0)
 
 
 def _parse_uid_value(text: str) -> int:
@@ -223,21 +232,13 @@ def _cmd_sim(args, parser) -> int:
     return 1 if failed else 0
 
 
-def _infer_scheme(path: str) -> IdScheme | None:
-    stem = Path(path).stem
-    try:
-        return IdScheme.parse(stem[len("metrics_"):]) if stem.startswith("metrics_") else None
-    except ValueError:
-        return None
-
-
 def _cmd_report(args, parser) -> int:
     from . import bench as bench_mod
 
     rows = []
     for path in args.inputs:
         summary = bench_mod.summarize(bench_mod.read_metrics_csv(path))
-        scheme = _infer_scheme(path)
+        scheme = bench_mod._metrics_scheme(path)
         size = codec.serialized_size(scheme, args.bytes_per_char) if scheme else None
         label = scheme.cli_name if scheme else Path(path).stem
         rows.append((label, summary.duration_micros.mean, summary.bandwidth_mbps.mean, size))
@@ -247,17 +248,15 @@ def _cmd_report(args, parser) -> int:
     _write(header, table, False, (-12, 22, 22, 10))
 
     any_size_gap = False
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            a, b = rows[i], rows[j]
-            speedup = b[1] / a[1]
-            line = f"{a[0]} vs {b[0]}: generation speedup {speedup:.4g}x"
-            if a[3] is not None and b[3] is not None:
-                reduction = (b[3] - a[3]) / b[3] * 100.0
-                line += f", size reduction {reduction:.1f}%"
-                if reduction != 0:
-                    any_size_gap = True
-            print(line)
+    for a, b in combinations(rows, 2):
+        speedup = b[1] / a[1]
+        line = f"{a[0]} vs {b[0]}: generation speedup {speedup:.4g}x"
+        if a[3] is not None and b[3] is not None:
+            reduction = (b[3] - a[3]) / b[3] * 100.0
+            line += f", size reduction {reduction:.1f}%"
+            if reduction != 0:
+                any_size_gap = True
+        print(line)
     if any_size_gap:
         print(f"note: {bench_mod.HEADLINE_RATIO_NOTE}")
     return 0
@@ -291,18 +290,18 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--table", action="store_true", help="risk table at 1e3/1e6/1e9 ids per window")
     p.add_argument("--csv", action="store_true", help="CSV output for --table")
-    p.add_argument("--bits", type=int, default=None)
-    mode.add_argument("--count", type=int, default=None)
-    mode.add_argument("--solve-p", type=float, default=None, dest="solve_p")
+    p.add_argument("--bits", type=_int, default=None)
+    mode.add_argument("--count", type=_int, default=None)
+    mode.add_argument("--solve-p", type=_float, default=None, dest="solve_p")
     p.add_argument("--digits", type=_positive_int, default=None, help="significant digits for --count (default 2)")
 
     p = sub.add_parser("bench", help="measure generation speed and bandwidth")
     p.set_defaults(run=_cmd_bench, parser=p)
     p.add_argument("--scheme", type=_scheme_arg, required=True)
-    p.add_argument("--samples", type=int, default=2420)
-    p.add_argument("--interval-ms", type=float, default=500.0)
-    p.add_argument("--ids-per-sample", type=int, default=1000)
-    p.add_argument("--bytes-per-char", type=int, choices=(1, 2), default=2)
+    p.add_argument("--samples", type=_int, default=2420)
+    p.add_argument("--interval-ms", type=_float, default=500.0)
+    p.add_argument("--ids-per-sample", type=_int, default=1000)
+    p.add_argument("--bytes-per-char", type=_int, choices=(1, 2), default=2)
     p.add_argument("--out", default=None, help="default: metrics_<SCHEME>.csv")
     p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--virtual-time", action="store_true", help="deterministic timer, no sleeping")
@@ -310,11 +309,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="producer/broker/consumer pipeline run")
     p.set_defaults(run=_cmd_sim, parser=p)
     p.add_argument("--scheme", type=_scheme_arg, required=True)
-    p.add_argument("--producers", type=int, default=4)
-    p.add_argument("--events", type=int, default=1000, help="events per producer")
-    p.add_argument("--partitions", type=int, default=4)
-    p.add_argument("--consumers", type=int, default=4)
-    p.add_argument("--produce-interval-ms", type=float, default=0.0)
+    p.add_argument("--producers", type=_int, default=4)
+    p.add_argument("--events", type=_int, default=1000, help="events per producer")
+    p.add_argument("--partitions", type=_int, default=4)
+    p.add_argument("--consumers", type=_int, default=4)
+    p.add_argument("--produce-interval-ms", type=_float, default=0.0)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--deterministic", action="store_true", help="single-threaded virtual-time replay")
     p.add_argument("--persist", default=None, help="write stored ids to this file, one per line, overwriting it")
@@ -323,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="combine metrics CSVs into a comparison table")
     p.set_defaults(run=_cmd_report, parser=p)
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
-    p.add_argument("--bytes-per-char", type=int, choices=(1, 2), default=2)
+    p.add_argument("--bytes-per-char", type=_int, choices=(1, 2), default=2)
 
     return parser
 

@@ -286,34 +286,6 @@ def verify_ordering(partition_logs, scheme: IdScheme) -> int:
     return violations
 
 
-class _Producer:
-    """Identifier-stamping event source; one per simulated node.
-
-    Owns its seed-derived randomness and, for ULID, its monotonic state, so
-    producers share nothing and never coordinate.
-    """
-
-    def __init__(self, index: int, cfg: SimConfig, clock):
-        self.index = index
-        self.clock = clock
-        self.state = MonotonicState()
-        self.mint = codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + index), self.state)
-        self.overflow_waits = 0
-
-    def make_event(self, seq: int) -> Event:
-        """Stamp one event for the threaded scheduler, waiting out a RandomOverflow on the real clock."""
-        while True:
-            try:
-                id_text = self.mint()
-                break
-            except RandomOverflow:
-                self.overflow_waits += 1
-                while self.clock.now() <= self.state.last_ts:
-                    time.sleep(0.0002)
-        # tuple.__new__ skips the NamedTuple's Python-level __new__; still an Event.
-        return tuple.__new__(Event, (id_text, self.index, seq))
-
-
 def run_simulation(cfg: SimConfig) -> SimReport:
     """Run the pipeline to completion and return exact totals.
 
@@ -329,7 +301,11 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     sink = Sink(cfg.persist_path)
     try:
         clock = FixedClock(_VIRTUAL_EPOCH_MS) if cfg.deterministic else SystemClock()
-        producers = [_Producer(i, cfg, clock) for i in range(cfg.producers)]
+        # One (mint, index, state) per producer, drawing from seed + index: producers share nothing.
+        producers = [
+            (codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + i), state), i, state)
+            for i, state in enumerate(MonotonicState() for _ in range(cfg.producers))
+        ]
         # Consumer i owns the partitions congruent to i modulo the consumer
         # count; a consumer past the last partition would own none.
         assignments = [
@@ -357,27 +333,38 @@ def run_simulation(cfg: SimConfig) -> SimReport:
 
         schedule = _schedule_rounds if cfg.deterministic else _schedule_threads
         start = time.perf_counter()
-        schedule(cfg, topic, producers, assignments, drain, clock)
+        overflow_waits = schedule(cfg, topic, producers, assignments, drain, clock)
         rounds = cfg.events_per_producer
         while drain():
             rounds += 1
         # Virtual time counts one millisecond per round.
         elapsed = rounds / 1000 if cfg.deterministic else time.perf_counter() - start
-        return _build_report(cfg, topic, sink, producers, elapsed)
+        return _build_report(cfg, topic, sink, overflow_waits, elapsed)
     finally:
         sink.close()
 
 
-def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> None:
-    """One thread per producer and consumer against real time.
+def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> int:
+    """One thread per producer and consumer against real time; returns the overflow waits.
 
-    Consumers poll until the topic closes; what they leave is the tail.
+    A producer waits out a RandomOverflow by polling the clock past its last
+    timestamp. Consumers poll until the topic closes; what they leave is the tail.
     """
     errors: list[Exception] = []
+    waits = [0] * cfg.producers  # one slot per producer thread, read after the joins
 
-    def produce(producer: _Producer):
+    def produce(mint, index, state):
         for seq in range(cfg.events_per_producer):
-            topic.publish(producer.make_event(seq))
+            while True:
+                try:
+                    id_text = mint()
+                    break
+                except RandomOverflow:
+                    waits[index] += 1
+                    while clock.now() <= state.last_ts:
+                        time.sleep(0.0002)
+            # tuple.__new__ skips the NamedTuple's Python-level __new__; still an Event.
+            topic.publish(tuple.__new__(Event, (id_text, index, seq)))
             if cfg.produce_interval > 0:
                 time.sleep(cfg.produce_interval)
 
@@ -393,7 +380,7 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> None:
             errors.append(exc)
 
     producer_threads = [
-        threading.Thread(target=worker, args=(produce, p), name=f"producer-{p.index}")
+        threading.Thread(target=worker, args=(produce, *p), name=f"producer-{p[1]}")
         for p in producers
     ]
     consumer_threads = [
@@ -411,9 +398,10 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> None:
             t.join()
     if errors:
         raise errors[0]
+    return sum(waits)
 
 
-def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> None:
+def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> int:
     """Round-robin on one thread against the virtual clock.
 
     Each round stamps and publishes one event per producer, one drain call
@@ -423,26 +411,25 @@ def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> None:
     """
     # Bound once per run: a tracer or a patch installed before the run still applies.
     publish, advance, new = topic.publish, clock.advance, tuple.__new__
-    minters = [(producer.mint, producer.index) for producer in producers]
+    minters = [(mint, index) for mint, index, _state in producers]
     for seq in range(cfg.events_per_producer):
         for mint, index in minters:
             publish(new(Event, (mint(), index, seq)))
         drain()
         advance(1)
     topic.close()
+    return 0
 
 
-def _build_report(cfg, topic, sink, producers, elapsed) -> SimReport:
+def _build_report(cfg, topic, sink, overflow_waits, elapsed) -> SimReport:
     partitions = range(topic.partitions)
     events_total = sum(topic.end_offset(p) for p in partitions)
     produced = cfg.producers * cfg.events_per_producer
     if events_total != produced:
         raise EventCountMismatch(f"producers made {produced} events, but the topic holds {events_total}")
-    if cfg.scheme.time_ordered:
-        logs = [topic.partition_log(p) for p in partitions]
-        ordering_checked, ordering_violations = True, verify_ordering(logs, cfg.scheme)
-    else:
-        ordering_checked, ordering_violations = False, 0
+    ordering_checked, ordering_violations = cfg.scheme.time_ordered, 0
+    if ordering_checked:
+        ordering_violations = verify_ordering([topic.partition_log(p) for p in partitions], cfg.scheme)
     # Two bytes per character: 52 bytes per ULID, 72 per UUID.
     payload_bits = sink.insertions * codec.serialized_size(cfg.scheme, 2) * 8
     return SimReport(
@@ -456,7 +443,7 @@ def _build_report(cfg, topic, sink, producers, elapsed) -> SimReport:
         duplicate_count=sink.duplicate_count,
         ordering_checked=ordering_checked,
         ordering_violations=ordering_violations,
-        overflow_waits=sum(producer.overflow_waits for producer in producers),
+        overflow_waits=overflow_waits,
         elapsed_seconds=elapsed,
         effective_mbps=bandwidth_mbps(payload_bits, elapsed),
     )

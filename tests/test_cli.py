@@ -341,6 +341,15 @@ def test_model_requires_exactly_one_mode(capsys):
         ["sim", "--scheme", "ulid", "--events", "0"],
         ["sim", "--scheme", "ulid", "--deterministic", "--produce-interval-ms", "5"],
         ["bench", "--scheme", "ulid", "--samples", "0"],
+        # Every number is ASCII: int() and float() would read these.
+        ["gen", "--scheme", "ulid", "--count", "\u0663"],
+        ["gen", "--scheme", "ulid", "--seed", "1_0"],
+        ["model", "--bits", "\u0661\u0662\u0662", "--count", "5"],
+        ["sim", "--scheme", "ulid", "--producers", "\u0662"],
+        ["bench", "--scheme", "ulid", "--bytes-per-char", "\u0661",
+         "--samples", "1", "--virtual-time", "--out", os.devnull],
+        ["bench", "--scheme", "ulid", "--interval-ms", "\u0661",
+         "--samples", "1", "--virtual-time", "--out", os.devnull],
     ],
     ids=" ".join,
 )

@@ -32,7 +32,6 @@ from uidlab.sim import (
     Topic,
     TopicClosed,
     UnknownPartition,
-    _Producer,
     partition_for,
     run_simulation,
     verify_ordering,
@@ -362,9 +361,13 @@ def test_event_contract():
     assert len({event, make_event("A" * 26, producer=3, seq=9), make_event("B" * 26)}) == 2
 
 
-def test_producer_events_keep_the_event_contract():
-    cfg = SimConfig(scheme=IdScheme.ULID, producers=3, events_per_producer=1, seed=0)
-    event = _Producer(2, cfg, FixedClock(1_000)).make_event(7)
+def test_producer_events_keep_the_event_contract(monkeypatch):
+    monkeypatch.setattr(sim, "SystemClock", lambda: FixedClock(1_000))
+    topics = _record_topics(monkeypatch)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=3, events_per_producer=8, partitions=2, consumers=1, seed=0)
+    assert run_simulation(cfg).conserved
+    (topic,) = topics
+    (event,) = [event for p in range(2) for event in topic.partition_log(p) if event[1:] == (2, 7)]
     assert type(event) is Event
     assert event == Event(*event)
     assert hash(event) == hash(Event(*event))
@@ -1061,16 +1064,53 @@ class TickingClock(FixedClock):
 # Two reads mint the first id and overflow; any later read of 1,000 is a poll that sleeps.
 @pytest.mark.parametrize("stale, sleeps", [(2, 0), (4, 2)], ids=["ticks-before-poll", "two-polls"])
 def test_producer_recovers_from_random_overflow(monkeypatch, stale, sleeps):
-    recorded = []
-    monkeypatch.setattr(sim.time, "sleep", recorded.append)
-    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=1, seed=0)
-    producer = _Producer(0, cfg, TickingClock(stale))
-    producer.make_event(0)
-    producer.state.last_random = RANDOM80_MAX
-    event = producer.make_event(1)
+    real_sleep, recorded = time.sleep, []
+
+    def sleep(seconds):  # the consumer's idle polls still sleep
+        if threading.current_thread().name == "producer-0":
+            recorded.append(seconds)
+        else:
+            real_sleep(seconds)
+
+    next_ulid = core.next_monotonic_ulid
+
+    def exhausting(state, clock, rng):
+        value = next_ulid(state, clock, rng)
+        state.last_random = RANDOM80_MAX  # the next id of this millisecond overflows
+        return value
+
+    clock = TickingClock(stale)
+    monkeypatch.setattr(sim.time, "sleep", sleep)
+    monkeypatch.setattr(core, "next_monotonic_ulid", exhausting)
+    monkeypatch.setattr(sim, "SystemClock", lambda: clock)
+    topics = _record_topics(monkeypatch)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=2, partitions=1, consumers=1, seed=0)
+    report = run_simulation(cfg)
     assert len(recorded) == sleeps
-    assert producer.overflow_waits == 1
-    assert ulid_decode(event.id) >> 80 == 1_001
+    assert clock.reads == stale + 2  # one read per mint, and one per poll
+    assert report.overflow_waits == 1 and report.conserved
+    (topic,) = topics
+    assert [ulid_decode(event.id) >> 80 for event in topic.partition_log(0)] == [1_000, 1_001]
+
+
+def test_threaded_run_reports_an_injected_random_overflow(monkeypatch):
+    next_ulid, calls, lock = core.next_monotonic_ulid, [], threading.Lock()
+
+    def overflowing(state, clock, rng):
+        with lock:  # two producer threads mint at once; exactly one call overflows
+            calls.append(state)
+            injected = len(calls) == 5
+        if injected:
+            raise RandomOverflow("injected overflow")
+        return next_ulid(state, clock, rng)
+
+    monkeypatch.setattr(core, "next_monotonic_ulid", overflowing)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=2, events_per_producer=20, partitions=2, consumers=2, seed=3)
+    report = run_simulation(cfg)
+    assert len(calls) == 41
+    assert report.overflow_waits == 1
+    assert report.conserved and report.events_total == 40
+    assert report.unique_ids == 40 and report.per_partition_order_ok
 
 
 def test_deterministic_producer_raises_random_overflow_instead_of_waiting(monkeypatch, tmp_path):
@@ -1084,15 +1124,16 @@ def test_deterministic_producer_raises_random_overflow_instead_of_waiting(monkey
             raise RandomOverflow("injected overflow")
         return next_ulid(state, clock, rng)
 
+    reads = []
+
+    class CountingClock(FixedClock):
+        def now(self):
+            reads.append(self.millis)
+            return self.millis
+
     monkeypatch.setattr(core, "next_monotonic_ulid", overflowing)
-    sinks, producers = _record_sinks(monkeypatch), []
-
-    class RecordingProducer(_Producer):
-        def __init__(self, *args):
-            super().__init__(*args)
-            producers.append(self)
-
-    monkeypatch.setattr(sim, "_Producer", RecordingProducer)
+    monkeypatch.setattr(sim, "FixedClock", CountingClock)
+    sinks = _record_sinks(monkeypatch)
     cfg = SimConfig(
         scheme=IdScheme.ULID,
         producers=3,
@@ -1118,18 +1159,19 @@ def test_deterministic_producer_raises_random_overflow_instead_of_waiting(monkey
     assert len(calls) == 7
     (sink,) = sinks
     assert sink._file is None
-    assert [producer.overflow_waits for producer in producers] == [0, 0, 0]
+    # One read per id minted before the overflow, none after: the rounds never poll.
+    assert reads == [sim._VIRTUAL_EPOCH_MS] * 3 + [sim._VIRTUAL_EPOCH_MS + 1] * 3
 
 
-@pytest.mark.parametrize("deterministic, made", [(False, 120), (True, 0)], ids=["threaded", "deterministic"])
-def test_only_the_threaded_scheduler_calls_make_event(monkeypatch, deterministic, made):
-    make_event, calls = _Producer.make_event, []
+@pytest.mark.parametrize("deterministic", [False, True], ids=["threaded", "deterministic"])
+def test_each_scheduler_mints_once_per_event_and_publishes_events(monkeypatch, deterministic):
+    next_ulid, calls = core.next_monotonic_ulid, []
 
-    def counting(self, seq):
-        calls.append((self.index, seq))
-        return make_event(self, seq)
+    def counting(state, clock, rng):
+        calls.append(state)
+        return next_ulid(state, clock, rng)
 
-    monkeypatch.setattr(_Producer, "make_event", counting)
+    monkeypatch.setattr(core, "next_monotonic_ulid", counting)
     topics = _record_topics(monkeypatch)
     cfg = SimConfig(
         scheme=IdScheme.ULID,
@@ -1141,8 +1183,8 @@ def test_only_the_threaded_scheduler_calls_make_event(monkeypatch, deterministic
         deterministic=deterministic,
     )
     report = run_simulation(cfg)
-    assert len(calls) == made
-    assert report.conserved and report.events_total == 120
+    assert len(calls) == 120 and len(set(map(id, calls))) == 3
+    assert report.conserved and report.events_total == 120 and report.overflow_waits == 0
     (topic,) = topics
     events = [event for p in range(topic.partitions) for event in topic.partition_log(p)]
     assert all(type(event) is Event for event in events)
