@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import _LAZY, codec
 from .codec import serialized_size
-from .core import _MAX_SLEEP_S, ClockSource, IdScheme, RandomSource, ZeroDuration, bandwidth_mbps
+from .core import _MAX_SLEEP_S, ClockSource, IdScheme, RandomSource, ZeroDuration, _ascii_number, bandwidth_mbps
 
 __all__ = list(_LAZY["bench"])
 
@@ -195,7 +195,7 @@ def read_metrics_csv(source) -> list[MetricsSample]:
         if len(parts) != 4:
             raise MalformedMetrics(f"{source}:{line_no}: expected 4 columns")
         try:
-            sample = MetricsSample(int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3]))
+            sample = MetricsSample(*map(_ascii_number, (int, float, int, float), parts))
             # Reports divide by both; NaN fails every comparison.
             if not (0 < sample.duration_micros < math.inf and 0 < sample.bandwidth_mbps < math.inf):
                 raise ValueError("durationMicros and bandwidthMbps must be finite and > 0")

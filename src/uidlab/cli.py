@@ -16,6 +16,7 @@ from .core import (
     MonotonicState,
     RandomOverflow,
     SeededEntropy,
+    _ascii_number,
 )
 
 __all__ = ["main"]
@@ -39,25 +40,15 @@ def _scheme_arg(text: str) -> IdScheme:
 
 
 def _number(kind, low=None):
-    """An argparse type for an ASCII ``kind``, int or float, of at least ``low``.
-
-    An int is decimal digits after an optional '-'; a float is what float()
-    reads, save non-ASCII text and '_' separators.
-    """
+    """An argparse type for ``core._ascii_number(kind, text)`` of at least ``low``."""
 
     def parse(text: str):
-        digits = text.strip().removeprefix("-")
-        ascii_only = not digits.lstrip("0123456789") if kind is int else text.isascii() and "_" not in text
-        try:
-            value = kind(text) if ascii_only else None
-        except ValueError:  # not a number, or longer than int() reads
-            value = None
-        if value is None:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        value = _ascii_number(kind, text)
         if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
+    parse.__name__ = kind.__name__  # argparse reports a ValueError as "invalid <__name__> value: <text!r>"
     return parse
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from os import urandom
 from random import Random
@@ -88,6 +89,15 @@ _from_bytes = int.from_bytes
 # time.sleep raises OverflowError far above it (1e300 s) and OSError already
 # at threading.TIMEOUT_MAX on some hosts, so the cap leaves a wide margin.
 _MAX_SLEEP_S = 1e9
+
+
+def _ascii_number(kind, text: str):
+    """Read a CLI flag or metrics-CSV cell as ASCII ``kind``: an int is decimal digits after an
+    optional '-', and a float is what float() reads, save '_' separators. Else raise ValueError."""
+    with suppress(ValueError):  # not a number, or longer than int() reads
+        if text.isascii() and "_" not in text and (kind is float or "+" not in text):
+            return kind(text)
+    raise ValueError(f"invalid {kind.__name__} value: {text!r}")
 
 
 class RandomOverflow(Exception):

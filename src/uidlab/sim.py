@@ -387,14 +387,14 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> int:
         threading.Thread(target=worker, args=(consume, parts), name=f"consumer-{i}")
         for i, parts in enumerate(assignments)
     ]
-    for t in consumer_threads + producer_threads:
-        t.start()
     try:
+        for t in consumer_threads + producer_threads:
+            t.start()
         for t in producer_threads:
             t.join()
     finally:  # on an interrupt too: stop the consumers, and let their last store end before the sink closes
         topic.close()
-        for t in consumer_threads:
+        for t in [t for t in consumer_threads if t.ident is not None]:  # a failed start leaves the rest unstarted
             t.join()
     if errors:
         raise errors[0]

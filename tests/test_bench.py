@@ -144,6 +144,11 @@ def test_write_metrics_csv_refuses_empty(tmp_path):
 
 def test_metrics_csv_round_trip(tmp_path):
     samples = _virtual_run(IdScheme.UUID_V4, samples=40)
+    # A real run's floats may print in exponent form, which a virtual run's never do.
+    samples += [MetricsSample(40, 1e-05, 416, 1e16), MetricsSample(41, 5e-324, 416, 0.1)]
+    assert [repr(x) for s in samples[-2:] for x in (s.duration_micros, s.bandwidth_mbps)] == [
+        "1e-05", "1e+16", "5e-324", "0.1"
+    ]
     path = tmp_path / "m.csv"
     write_metrics_csv(samples, path)
     assert read_metrics_csv(path) == samples

@@ -343,6 +343,7 @@ def test_model_requires_exactly_one_mode(capsys):
         ["bench", "--scheme", "ulid", "--samples", "0"],
         # Every number is ASCII: int() and float() would read these.
         ["gen", "--scheme", "ulid", "--count", "\u0663"],
+        ["gen", "--scheme", "ulid", "--count", "\u20033"],  # int() strips non-ASCII whitespace too
         ["gen", "--scheme", "ulid", "--seed", "1_0"],
         ["model", "--bits", "\u0661\u0662\u0662", "--count", "5"],
         ["sim", "--scheme", "ulid", "--producers", "\u0662"],
@@ -666,6 +667,49 @@ def test_report_non_ascii_csv_fails_naming_the_file(capsys, tmp_path):
     assert str(path) in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "row, refused",
+    [
+        ("1_0,2.5,416,166.4", "int value: '1_0'"),
+        ("0,1_0,416,166.4", "float value: '1_0'"),
+        ("0,2.5,1_0,166.4", "int value: '1_0'"),
+        ("0,2.5,416,1_0", "float value: '1_0'"),
+        ("+2,2.5,416,166.4", "int value: '+2'"),
+        ("0,2.5,+2,166.4", "int value: '+2'"),
+        ("1_0,1_0.5,4_16,+2_0", "int value: '1_0'"),
+    ],
+)
+def test_report_refuses_cells_that_only_int_or_float_reads(capsys, tmp_path, row, refused):
+    path = tmp_path / "metrics_ULID.csv"
+    path.write_text(f"{CSV_HEADER}\n{row}\n")
+    assert run_cli(capsys, "report", "--in", str(path)) == (1, "", f"error: {path}:2: invalid {refused}\n")
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "+2", "-", "", " 7 ", "1e+16", "0x10"])
+@pytest.mark.parametrize(
+    "flag, column",
+    [
+        (["model", "--count", "1", "--bits"], "payloadBits"),
+        (["bench", "--scheme", "ulid", "--interval-ms"], "durationMicros"),
+    ],
+    ids=["int", "float"],
+)
+def test_number_flags_and_metrics_cells_accept_the_same_text(capsys, tmp_path, flag, column, text):
+    try:
+        cli._build_parser().parse_args([*flag, text])
+        flag_reads = True
+    except SystemExit:
+        flag_reads = False
+    capsys.readouterr()
+    row = ["0", "2.5", "416", "166.4"]
+    row[CSV_HEADER.split(",").index(column)] = text
+    path = tmp_path / "metrics_ULID.csv"
+    path.write_text(f"{CSV_HEADER}\n{','.join(row)}\n", encoding="utf-8")
+    status, _, err = run_cli(capsys, "report", "--in", str(path))
+    assert "Traceback" not in err
+    assert (status == 0) == flag_reads
 
 
 @pytest.mark.parametrize("duration", ["0", "nan", "-1"])

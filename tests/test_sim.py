@@ -556,6 +556,33 @@ def test_interrupted_threaded_run_stops_its_consumers(monkeypatch):
             topic.close()
 
 
+def test_failed_thread_start_stops_the_consumers_that_started(monkeypatch):
+    started = []
+
+    class FailingThread(threading.Thread):
+        def start(self):
+            if len(started) == 2:  # consumers start first, so the first producer fails
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(sim.threading, "Thread", FailingThread)
+    topics = _record_topics(monkeypatch)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=2, consumers=2, seed=6
+    )
+    try:
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_simulation(cfg)
+        assert [t.name for t in started] == ["consumer-0", "consumer-1"]
+        assert [t.name for t in started if t.is_alive()] == []
+    finally:  # a consumer left polling would keep the test process from exiting
+        for topic in topics:
+            topic.close()
+        for t in started:
+            t.join(5)
+
+
 def test_interrupted_threaded_run_waits_for_the_consumers_last_store(monkeypatch, tmp_path):
     consumers, sinks = [], []
     entered = threading.Semaphore(0)
