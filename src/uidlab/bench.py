@@ -196,6 +196,8 @@ def read_metrics_csv(source) -> list[MetricsSample]:
             raise MalformedMetrics(f"{source}:{line_no}: expected 4 columns")
         try:
             sample = MetricsSample(*map(_ascii_number, (int, float, int, float), parts))
+            if sample.index < 0 or sample.payload_bits < 0:
+                raise ValueError("index and payloadBits must be >= 0")
             # Reports divide by both; NaN fails every comparison.
             if not (0 < sample.duration_micros < math.inf and 0 < sample.bandwidth_mbps < math.inf):
                 raise ValueError("durationMicros and bandwidthMbps must be finite and > 0")

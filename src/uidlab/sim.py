@@ -8,10 +8,11 @@ event is delivered at most once, and store the events in a sink that counts
 duplicate identifiers. After the run the per-partition logs can be checked
 for per-producer ordering violations.
 
-Two execution modes share all of the above: a threaded mode where producers
-and consumers run concurrently against real time, and a deterministic mode
-that steps everything round-robin on a virtual millisecond clock so a seed
-reproduces the full report bit for bit.
+One driver, ``run_simulation``, runs both execution modes over the same
+topic, sink, producers and drain: a deterministic mode that steps everything
+round-robin on the calling thread against a virtual millisecond clock, so a
+seed reproduces the full report bit for bit, and a threaded mode, where a
+helper runs producers and consumers concurrently against real time.
 """
 
 from __future__ import annotations
@@ -289,23 +290,22 @@ def verify_ordering(partition_logs, scheme: IdScheme) -> int:
 def run_simulation(cfg: SimConfig) -> SimReport:
     """Run the pipeline to completion and return exact totals.
 
-    Both modes share the topic, sink, producers and consumer steps; only the
-    scheduler and the clock differ. A scheduler returns once the topic is
-    closed and no consumer runs; the calling thread then drains the tail,
-    one round at a time. Re-raises the first exception of any producer or
-    consumer, raises :class:`EventCountMismatch` if the topic holds other
-    than every event the producers made, and closes the sink either way.
+    One driver for both modes: it binds ``publish``, ``consume`` and
+    ``store`` once per run, runs the deterministic rounds itself and hands
+    the threaded mode to :func:`_run_threads`, which returns once the topic
+    is closed and no consumer runs; then this thread drains the tail.
+    Re-raises the first exception of any producer or consumer, raises
+    :class:`EventCountMismatch` if the topic holds other than every event
+    the producers made, and closes the sink either way.
     """
-    # The deterministic scheduler makes every topic call on this one thread.
+    # The deterministic rounds make every topic call on this one thread.
     topic = Topic("events", cfg.partitions, shared=not cfg.deterministic)
     sink = Sink(cfg.persist_path)
     try:
         clock = FixedClock(_VIRTUAL_EPOCH_MS) if cfg.deterministic else SystemClock()
-        # One (mint, index, state) per producer, drawing from seed + index: producers share nothing.
-        producers = [
-            (codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + i), state), i, state)
-            for i, state in enumerate(MonotonicState() for _ in range(cfg.producers))
-        ]
+        # Producer i mints from seed + i into its own state: producers share nothing.
+        states = [MonotonicState() for _ in range(cfg.producers)]
+        minters = [codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + i), s) for i, s in enumerate(states)]
         # Consumer i owns the partitions congruent to i modulo the consumer
         # count; a consumer past the last partition would own none.
         assignments = [
@@ -313,7 +313,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             for i in range(min(cfg.consumers, cfg.partitions))
         ]
 
-        consume, store = topic.consume, sink.store
+        # Bound once per run: a tracer or a patch installed before the run still applies.
+        publish, consume, store = topic.publish, topic.consume, sink.store
         owned = [p for partitions in assignments for p in partitions]
 
         def drain(partitions=owned) -> int:
@@ -331,9 +332,20 @@ def run_simulation(cfg: SimConfig) -> SimReport:
                 store(batch)
             return len(batch)
 
-        schedule = _schedule_rounds if cfg.deterministic else _schedule_threads
         start = time.perf_counter()
-        overflow_waits = schedule(cfg, topic, producers, assignments, drain, clock)
+        if cfg.deterministic:
+            # A round publishes one event per producer, drains and ticks one millisecond. Nothing
+            # ticks inside a round, so a RandomOverflow propagates rather than being waited out.
+            advance, new = clock.advance, tuple.__new__
+            for seq in range(cfg.events_per_producer):
+                for index, mint in enumerate(minters):
+                    publish(new(Event, (mint(), index, seq)))
+                drain()
+                advance(1)
+            topic.close()
+            overflow_waits = 0
+        else:
+            overflow_waits = _run_threads(cfg, topic, publish, minters, states, assignments, drain, clock)
         rounds = cfg.events_per_producer
         while drain():
             rounds += 1
@@ -344,16 +356,16 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         sink.close()
 
 
-def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> int:
+def _run_threads(cfg, topic, publish, minters, states, assignments, drain, clock) -> int:
     """One thread per producer and consumer against real time; returns the overflow waits.
 
-    A producer waits out a RandomOverflow by polling the clock past its last
-    timestamp. Consumers poll until the topic closes; what they leave is the tail.
+    Producer i publishes what ``minters[i]`` mints; on a RandomOverflow it polls the
+    clock past ``states[i].last_ts``. Consumers poll until the topic closes.
     """
     errors: list[Exception] = []
     waits = [0] * cfg.producers  # one slot per producer thread, read after the joins
 
-    def produce(mint, index, state):
+    def produce(index, mint, state):
         for seq in range(cfg.events_per_producer):
             while True:
                 try:
@@ -364,11 +376,11 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> int:
                     while clock.now() <= state.last_ts:
                         time.sleep(0.0002)
             # tuple.__new__ skips the NamedTuple's Python-level __new__; still an Event.
-            topic.publish(tuple.__new__(Event, (id_text, index, seq)))
+            publish(tuple.__new__(Event, (id_text, index, seq)))
             if cfg.produce_interval > 0:
                 time.sleep(cfg.produce_interval)
 
-    def consume(partitions):
+    def poll(partitions):
         while not topic._closed:
             if not drain(partitions):
                 time.sleep(0.0002)
@@ -380,11 +392,11 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> int:
             errors.append(exc)
 
     producer_threads = [
-        threading.Thread(target=worker, args=(produce, *p), name=f"producer-{p[1]}")
-        for p in producers
+        threading.Thread(target=worker, args=(produce, i, *p), name=f"producer-{i}")
+        for i, p in enumerate(zip(minters, states))
     ]
     consumer_threads = [
-        threading.Thread(target=worker, args=(consume, parts), name=f"consumer-{i}")
+        threading.Thread(target=worker, args=(poll, parts), name=f"consumer-{i}")
         for i, parts in enumerate(assignments)
     ]
     try:
@@ -399,26 +411,6 @@ def _schedule_threads(cfg, topic, producers, assignments, drain, clock) -> int:
     if errors:
         raise errors[0]
     return sum(waits)
-
-
-def _schedule_rounds(cfg, topic, producers, assignments, drain, clock) -> int:
-    """Round-robin on one thread against the virtual clock.
-
-    Each round stamps and publishes one event per producer, one drain call
-    takes a batch from every partition in consumer order, and the clock ticks
-    one millisecond. Nothing ticks it inside a round, so a RandomOverflow
-    propagates from the minter rather than being waited out.
-    """
-    # Bound once per run: a tracer or a patch installed before the run still applies.
-    publish, advance, new = topic.publish, clock.advance, tuple.__new__
-    minters = [(mint, index) for mint, index, _state in producers]
-    for seq in range(cfg.events_per_producer):
-        for mint, index in minters:
-            publish(new(Event, (mint(), index, seq)))
-        drain()
-        advance(1)
-    topic.close()
-    return 0
 
 
 def _build_report(cfg, topic, sink, overflow_waits, elapsed) -> SimReport:

@@ -190,6 +190,21 @@ def test_read_metrics_csv_rejects_non_ascii_naming_the_file(tmp_path):
         read_metrics_csv(path)
 
 
+@pytest.mark.parametrize("column", ["index", "payloadBits"])
+def test_read_metrics_csv_rejects_negative_counts(tmp_path, column):
+    from uidlab.bench import MalformedMetrics
+
+    row = ["0", "2.5", "416", "166.4"]
+    row[CSV_HEADER.split(",").index(column)] = "-1"
+    path = tmp_path / "m.csv"
+    path.write_text(CSV_HEADER + "\n" + ",".join(row) + "\n")
+    with pytest.raises(MalformedMetrics, match=r"m\.csv:2: index and payloadBits must be >= 0"):
+        read_metrics_csv(path)
+    row[CSV_HEADER.split(",").index(column)] = "0"
+    path.write_text(CSV_HEADER + "\n" + ",".join(row) + "\n")
+    assert read_metrics_csv(path)[0].index == 0
+
+
 @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
 @pytest.mark.parametrize("column", ["durationMicros", "bandwidthMbps"])
 def test_read_metrics_csv_rejects_values_report_cannot_divide_by(tmp_path, column, value):

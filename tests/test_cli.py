@@ -687,6 +687,14 @@ def test_report_refuses_cells_that_only_int_or_float_reads(capsys, tmp_path, row
     assert run_cli(capsys, "report", "--in", str(path)) == (1, "", f"error: {path}:2: invalid {refused}\n")
 
 
+@pytest.mark.parametrize("row", ["-1,1.5,416,277.3", "0,1.5,-8,277.3"], ids=["index", "payloadBits"])
+def test_report_refuses_negative_counts(capsys, tmp_path, row):
+    path = tmp_path / "metrics_ULID.csv"
+    path.write_text(f"{CSV_HEADER}\n{row}\n")
+    expected = f"error: {path}:2: index and payloadBits must be >= 0\n"
+    assert run_cli(capsys, "report", "--in", str(path)) == (1, "", expected)
+
+
 @pytest.mark.parametrize("text", ["\u0663", "1_0", "+2", "-", "", " 7 ", "1e+16", "0x10"])
 @pytest.mark.parametrize(
     "flag, column",

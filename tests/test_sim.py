@@ -714,6 +714,26 @@ TRACED_ENTRY_POINTS = [
 ]
 
 
+def _count_traced_calls(monkeypatch):
+    """Wrap every traced entry point with a thread-safe call counter."""
+    calls, lock = collections.Counter(), threading.Lock()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            with lock:
+                calls[name] += 1
+                if name == "consume" and result:
+                    calls["consume non-empty"] += 1
+            return result
+
+        return wrapper
+
+    for owner, name in TRACED_ENTRY_POINTS:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return calls
+
+
 def test_deterministic_run_calls_every_traced_entry_point(monkeypatch):
     cfg = SimConfig(
         scheme=IdScheme.ULID,
@@ -725,20 +745,7 @@ def test_deterministic_run_calls_every_traced_entry_point(monkeypatch):
         deterministic=True,
     )
     unwrapped = run_simulation(cfg)
-    calls = collections.Counter()
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            result = original(*args, **kwargs)
-            if name == "consume" and result:
-                calls["consume non-empty"] += 1
-            return result
-
-        return wrapper
-
-    for owner, name in TRACED_ENTRY_POINTS:
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    calls = _count_traced_calls(monkeypatch)
     assert run_simulation(cfg) == unwrapped
     for name in ("next_bits", "next_monotonic_ulid", "ulid_encode", "partition_for", "publish"):
         assert calls[name] == 1000, name
@@ -747,6 +754,21 @@ def test_deterministic_run_calls_every_traced_entry_point(monkeypatch):
     # after the last round finds every partition empty and stores nothing.
     assert calls["consume non-empty"] == 442
     assert calls["store"] == 125
+
+
+def test_threaded_run_calls_every_traced_entry_point(monkeypatch):
+    # Producer threads publish through the topic's publish, bound when the
+    # run starts, so a class-level wrap installed before the run sees every
+    # event. Entropy draws, consumes and stores follow the real clock and
+    # the thread timing, so only their presence is checked.
+    calls = _count_traced_calls(monkeypatch)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=8, events_per_producer=125, partitions=4, consumers=4, seed=1)
+    report = run_simulation(cfg)
+    assert report.conserved and report.events_total == report.unique_ids == 1000
+    for name in ("next_monotonic_ulid", "ulid_encode", "partition_for", "publish"):
+        assert calls[name] == 1000, name
+    assert calls["verify_ordering"] == 1
+    assert calls["next_bits"] >= 8 and calls["consume non-empty"] >= 1 and calls["store"] >= 1
 
 
 def test_full_drain_conserves_multiset():
