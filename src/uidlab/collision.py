@@ -137,7 +137,8 @@ def _ln_one_minus_exp(ln_p: Decimal) -> Decimal:
     if ln_p.is_infinite():
         return Decimal(0)
     with localcontext() as ctx:
-        ctx.prec = _PRECISION
+        # 1 - e^-t cancels up to 25 leading digits for t >= 1e-25; 25 spare digits keep all 60.
+        ctx.prec = _PRECISION - _SERIES_CUTOFF.adjusted()
         t = -ln_p
         if t < _SERIES_CUTOFF:
             # 1 - e^-t = t(1 - t/2 + t^2/6 - t^3/24 + ...); truncation error

@@ -47,7 +47,6 @@ __all__ = [
     "ClockSource",
     "SystemEntropy",
     "SeededEntropy",
-    "SystemClock",
     "FixedClock",
     "MonotonicState",
     "RandomOverflow",
@@ -216,13 +215,6 @@ class SeededEntropy:
         return self._rng.getrandbits(k)
 
 
-class SystemClock:
-    """Wall clock in whole milliseconds since the Unix epoch."""
-
-    def now(self) -> Timestamp48:
-        return time.time_ns() // 1_000_000
-
-
 class FixedClock:
     """Clock pinned to a settable millisecond value.
 
@@ -283,7 +275,7 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
     with the fixed bits overwritten by mask; a supplied ``rng`` gives 74 bits
     spread around them.
     """
-    ts = clock.now() if clock else time.time_ns() // 1_000_000  # SystemClock.now, inlined
+    ts = clock.now() if clock else time.time_ns() // 1_000_000  # the system clock, inline
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
     if rng:
@@ -295,7 +287,7 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
 
 def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
     """Generate a ULID value: 48-bit millisecond timestamp and 80 random bits."""
-    ts = clock.now() if clock else time.time_ns() // 1_000_000  # SystemClock.now, inlined
+    ts = clock.now() if clock else time.time_ns() // 1_000_000  # the system clock, inline
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
     # SystemEntropy.next_bits, inlined
@@ -316,7 +308,7 @@ def next_monotonic_ulid(
     component cannot be incremented; the caller should retry after the next
     clock tick.
     """
-    now = clock.now() if clock else time.time_ns() // 1_000_000  # SystemClock.now, inlined
+    now = clock.now() if clock else time.time_ns() // 1_000_000  # the system clock, inline
     if not 0 <= now <= TIMESTAMP48_MAX:
         check_timestamp48(now)  # raises; the range test is inlined to save a call per id
     if now > state.last_ts:

@@ -32,7 +32,6 @@ from .core import (
     MonotonicState,
     RandomOverflow,
     SeededEntropy,
-    SystemClock,
     UnsupportedScheme,
     bandwidth_mbps,
 )
@@ -302,10 +301,12 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     topic = Topic("events", cfg.partitions, shared=not cfg.deterministic)
     sink = Sink(cfg.persist_path)
     try:
-        clock = FixedClock(_VIRTUAL_EPOCH_MS) if cfg.deterministic else SystemClock()
+        clock = FixedClock(_VIRTUAL_EPOCH_MS) if cfg.deterministic else None  # None reads the system clock
         # Producer i mints from seed + i into its own state: producers share nothing.
-        states = [MonotonicState() for _ in range(cfg.producers)]
-        minters = [codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + i), s) for i, s in enumerate(states)]
+        minters = [
+            codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + i), MonotonicState())
+            for i in range(cfg.producers)
+        ]
         # Consumer i owns the partitions congruent to i modulo the consumer
         # count; a consumer past the last partition would own none.
         assignments = [
@@ -345,7 +346,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             topic.close()
             overflow_waits = 0
         else:
-            overflow_waits = _run_threads(cfg, topic, publish, minters, states, assignments, drain, clock)
+            overflow_waits = _run_threads(cfg, topic, publish, minters, assignments, drain)
         rounds = cfg.events_per_producer
         while drain():
             rounds += 1
@@ -356,16 +357,16 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         sink.close()
 
 
-def _run_threads(cfg, topic, publish, minters, states, assignments, drain, clock) -> int:
+def _run_threads(cfg, topic, publish, minters, assignments, drain) -> int:
     """One thread per producer and consumer against real time; returns the overflow waits.
 
-    Producer i publishes what ``minters[i]`` mints; on a RandomOverflow it polls the
-    clock past ``states[i].last_ts``. Consumers poll until the topic closes.
+    Producer i publishes what ``minters[i]`` mints; on a RandomOverflow it sleeps one
+    millisecond and mints again. Consumers poll until the topic closes.
     """
     errors: list[Exception] = []
     waits = [0] * cfg.producers  # one slot per producer thread, read after the joins
 
-    def produce(index, mint, state):
+    def produce(index, mint):
         for seq in range(cfg.events_per_producer):
             while True:
                 try:
@@ -373,8 +374,7 @@ def _run_threads(cfg, topic, publish, minters, states, assignments, drain, clock
                     break
                 except RandomOverflow:
                     waits[index] += 1
-                    while clock.now() <= state.last_ts:
-                        time.sleep(0.0002)
+                    time.sleep(0.001)
             # tuple.__new__ skips the NamedTuple's Python-level __new__; still an Event.
             publish(tuple.__new__(Event, (id_text, index, seq)))
             if cfg.produce_interval > 0:
@@ -392,8 +392,8 @@ def _run_threads(cfg, topic, publish, minters, states, assignments, drain, clock
             errors.append(exc)
 
     producer_threads = [
-        threading.Thread(target=worker, args=(produce, i, *p), name=f"producer-{i}")
-        for i, p in enumerate(zip(minters, states))
+        threading.Thread(target=worker, args=(produce, i, mint), name=f"producer-{i}")
+        for i, mint in enumerate(minters)
     ]
     consumer_threads = [
         threading.Thread(target=worker, args=(poll, parts), name=f"consumer-{i}")

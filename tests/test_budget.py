@@ -73,12 +73,12 @@ def deterministic_run(scheme, seed):
 @pytest.mark.parametrize(
     "scheme, seed, pin",
     [
-        (IdScheme.ULID, 1, (7_974, 11_933)),
-        (IdScheme.ULID, 2, (7_974, 11_943)),
-        (IdScheme.UUID_V7, 1, (7_974, 12_937)),
-        (IdScheme.UUID_V7, 2, (7_974, 12_943)),
-        (IdScheme.UUID_V4, 1, (6_964, 11_957)),
-        (IdScheme.UUID_V4, 2, (6_964, 11_967)),
+        (IdScheme.ULID, 1, (7_973, 11_933)),
+        (IdScheme.ULID, 2, (7_973, 11_943)),
+        (IdScheme.UUID_V7, 1, (7_973, 12_937)),
+        (IdScheme.UUID_V7, 2, (7_973, 12_943)),
+        (IdScheme.UUID_V4, 1, (6_963, 11_957)),
+        (IdScheme.UUID_V4, 2, (6_963, 11_967)),
     ],
     ids=["ulid-seed1", "ulid-seed2", "uuidv7-seed1", "uuidv7-seed2", "uuidv4-seed1", "uuidv4-seed2"],
 )

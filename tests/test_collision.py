@@ -69,6 +69,22 @@ def test_tiny_probability_keeps_significant_digits():
     assert rel_err(float(actual), float(reference)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "bits, n",
+    [
+        (80, 2), (80, 10**3), (80, 10**6), (74, 10**6), (122, 10**9), (74, 10**9), (32, 10**3), (24, 100),
+        (160, 10**20), (160, 2), (40, 10**6), (8, 10), (1, 2), (83, 2), (84, 2),
+    ],
+)
+def test_collision_prob_prints_sixty_correct_digits(bits, n):
+    # 1 - e^-t cancels up to 25 leading digits on these probes; every printed digit must still hold.
+    with localcontext() as ctx:
+        ctx.prec = 200
+        reference = 1 - (-Decimal(n * (n - 1)) / Decimal(1 << (bits + 1))).exp()
+        expected = format(reference, ".59e")
+    assert collision_prob(CollisionQuery(bits, n)).sci(60) == expected
+
+
 def test_tiny_probability_ratio_method_witness():
     # p scales as 1/d while x is small: p(80 bits) ~ p(24 bits) / 2^56.
     p_small = float(exact_no_collision_prob(CollisionQuery(24, 1000)).complement())

@@ -362,17 +362,20 @@ def test_event_contract():
 
 
 def test_producer_events_keep_the_event_contract(monkeypatch):
-    monkeypatch.setattr(sim, "SystemClock", lambda: FixedClock(1_000))
     topics = _record_topics(monkeypatch)
     cfg = SimConfig(scheme=IdScheme.ULID, producers=3, events_per_producer=8, partitions=2, consumers=1, seed=0)
+    before = time.time_ns() // 1_000_000
     assert run_simulation(cfg).conserved
+    after = time.time_ns() // 1_000_000
     (topic,) = topics
-    (event,) = [event for p in range(2) for event in topic.partition_log(p) if event[1:] == (2, 7)]
+    events = [event for p in range(2) for event in topic.partition_log(p)]
+    (event,) = [event for event in events if event[1:] == (2, 7)]
     assert type(event) is Event
     assert event == Event(*event)
     assert hash(event) == hash(Event(*event))
     assert (event.id, event.producer, event.seq) == (event[0], 2, 7)
-    assert ulid_decode(event.id) >> 80 == 1_000
+    # Threaded producers stamp their ids with the wall clock.
+    assert all(before <= ulid_decode(event.id) >> 80 <= after for event in events)
 
 
 def _with_switch_interval(work, timeout=60):
@@ -1097,22 +1100,9 @@ def test_uuidv4_run_skips_ordering():
     assert not report.per_partition_order_ok
 
 
-class TickingClock(FixedClock):
-    """Reads 1,000 ``stale`` times, then 1,001: the next millisecond arrives while waiting."""
-
-    def __init__(self, stale=2):
-        super().__init__(1_000)
-        self.stale = stale
-        self.reads = 0
-
-    def now(self):
-        self.reads += 1
-        return self.millis if self.reads <= self.stale else self.millis + 1
-
-
-# Two reads mint the first id and overflow; any later read of 1,000 is a poll that sleeps.
-@pytest.mark.parametrize("stale, sleeps", [(2, 0), (4, 2)], ids=["ticks-before-poll", "two-polls"])
-def test_producer_recovers_from_random_overflow(monkeypatch, stale, sleeps):
+# Producer-0's second mint overflows ``overflows`` times in a row, then succeeds.
+@pytest.mark.parametrize("overflows", [1, 2], ids=["one-overflow", "two-overflows"])
+def test_producer_recovers_from_random_overflow(monkeypatch, overflows):
     real_sleep, recorded = time.sleep, []
 
     def sleep(seconds):  # the consumer's idle polls still sleep
@@ -1121,6 +1111,24 @@ def test_producer_recovers_from_random_overflow(monkeypatch, stale, sleeps):
         else:
             real_sleep(seconds)
 
+    next_ulid, calls = core.next_monotonic_ulid, []
+
+    def overflowing(state, clock, rng):
+        calls.append(state)
+        if 2 <= len(calls) <= 1 + overflows:
+            raise RandomOverflow("injected overflow")
+        return next_ulid(state, clock, rng)
+
+    monkeypatch.setattr(sim.time, "sleep", sleep)
+    monkeypatch.setattr(core, "next_monotonic_ulid", overflowing)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=2, partitions=1, consumers=1, seed=0)
+    report = run_simulation(cfg)
+    assert recorded == [0.001] * overflows  # one millisecond per overflow, no clock poll
+    assert len(calls) == 2 + overflows
+    assert report.overflow_waits == overflows and report.conserved
+
+
+def test_producer_waits_out_an_exhausted_millisecond(monkeypatch):
     next_ulid = core.next_monotonic_ulid
 
     def exhausting(state, clock, rng):
@@ -1128,18 +1136,32 @@ def test_producer_recovers_from_random_overflow(monkeypatch, stale, sleeps):
         state.last_random = RANDOM80_MAX  # the next id of this millisecond overflows
         return value
 
-    clock = TickingClock(stale)
-    monkeypatch.setattr(sim.time, "sleep", sleep)
     monkeypatch.setattr(core, "next_monotonic_ulid", exhausting)
-    monkeypatch.setattr(sim, "SystemClock", lambda: clock)
     topics = _record_topics(monkeypatch)
-    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=2, partitions=1, consumers=1, seed=0)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=3, partitions=1, consumers=1, seed=0)
     report = run_simulation(cfg)
-    assert len(recorded) == sleeps
-    assert clock.reads == stale + 2  # one read per mint, and one per poll
-    assert report.overflow_waits == 1 and report.conserved
+    assert report.conserved and report.per_partition_order_ok
     (topic,) = topics
-    assert [ulid_decode(event.id) >> 80 for event in topic.partition_log(0)] == [1_000, 1_001]
+    # Every id after the first overflows unless the clock has ticked, so each has a later millisecond.
+    stamps = [ulid_decode(event.id) >> 80 for event in topic.partition_log(0)]
+    assert stamps[0] < stamps[1] < stamps[2]
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["threaded", "deterministic"])
+def test_threaded_minters_read_the_default_clock(monkeypatch, deterministic):
+    next_ulid, clocks = core.next_monotonic_ulid, []
+
+    def recording(state, clock, rng):
+        clocks.append(clock)
+        return next_ulid(state, clock, rng)
+
+    monkeypatch.setattr(core, "next_monotonic_ulid", recording)
+    cfg = SimConfig(
+        scheme=IdScheme.ULID, producers=2, events_per_producer=3, partitions=2, consumers=2, deterministic=deterministic
+    )
+    assert run_simulation(cfg).conserved
+    assert len(clocks) == 6
+    assert {type(clock) for clock in clocks} == {FixedClock if deterministic else type(None)}
 
 
 def test_threaded_run_reports_an_injected_random_overflow(monkeypatch):
