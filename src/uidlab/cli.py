@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from itertools import combinations
@@ -228,27 +229,23 @@ def _cmd_report(args, parser) -> int:
 
     rows = []
     for path in args.inputs:
-        summary = bench_mod.summarize(bench_mod.read_metrics_csv(path))
+        samples = bench_mod.read_metrics_csv(path)
+        # A row's bandwidthMbps x durationMicros is its payloadBits per id; an overflow reads as 0 bytes.
+        sizes = [round(x) if (x := s.bandwidth_mbps * s.duration_micros / 8) < math.inf else 0 for s in samples]
+        line = next((i for i, size in enumerate(sizes, 2) if not 0 < size == sizes[0]), 0)
+        if line:
+            raise bench_mod.MalformedMetrics(f"{path}:{line}: bytes per id is below 1 or differs from line 2's")
+        summary = bench_mod.summarize(samples)
         scheme = bench_mod._metrics_scheme(path)
-        size = codec.serialized_size(scheme, args.bytes_per_char) if scheme else None
         label = scheme.cli_name if scheme else Path(path).stem
-        rows.append((label, summary.duration_micros.mean, summary.bandwidth_mbps.mean, size))
+        rows.append((label, summary.duration_micros.mean, summary.bandwidth_mbps.mean, sizes[0]))
 
     header = ("scheme", "mean durationMicros", "mean bandwidthMbps", "bytes/id")
-    table = [(label, dur, bw, "-" if size is None else size) for label, dur, bw, size in rows]
-    _write(header, table, False, (-12, 22, 22, 10))
-
-    any_size_gap = False
+    _write(header, rows, False, (-12, 22, 22, 10))
     for a, b in combinations(rows, 2):
-        speedup = b[1] / a[1]
-        line = f"{a[0]} vs {b[0]}: generation speedup {speedup:.4g}x"
-        if a[3] is not None and b[3] is not None:
-            reduction = (b[3] - a[3]) / b[3] * 100.0
-            line += f", size reduction {reduction:.1f}%"
-            if reduction != 0:
-                any_size_gap = True
-        print(line)
-    if any_size_gap:
+        reduction = (b[3] - a[3]) / b[3] * 100.0
+        print(f"{a[0]} vs {b[0]}: generation speedup {b[1] / a[1]:.4g}x, size reduction {reduction:.1f}%")
+    if len({row[3] for row in rows}) > 1:
         print(f"note: {bench_mod.HEADLINE_RATIO_NOTE}")
     return 0
 
@@ -313,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="combine metrics CSVs into a comparison table")
     p.set_defaults(run=_cmd_report, parser=p)
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
-    p.add_argument("--bytes-per-char", type=_int, choices=(1, 2), default=2)
 
     return parser
 

@@ -11,16 +11,16 @@ the draw every millisecond (identifiers from different milliseconds differ
 in the timestamp bits), so n counts identifiers per millisecond for UUIDv7
 and ULID and identifiers overall for UUIDv4; d is 2^effective_random_bits.
 
-All probability arithmetic runs on the stdlib ``decimal`` module at 60
-significant digits and carries probabilities as natural logarithms, so a
-value like 9.4e-32 survives the final ``1 - exp(...)`` step with dozens of
-correct digits instead of drowning in float cancellation.
+All probability arithmetic runs in this module's own 60-digit ``decimal``
+context, whatever the caller's, and carries probabilities as natural
+logarithms, so a value like 9.4e-32 survives the final ``1 - exp(...)`` step
+with dozens of correct digits instead of drowning in float cancellation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 
 from . import _LAZY
 from .core import IdScheme
@@ -29,6 +29,9 @@ __all__ = list(_LAZY["collision"])
 
 _PRECISION = 60
 _SERIES_CUTOFF = Decimal("1e-25")
+_CTX = Context(prec=_PRECISION)
+# 1 - e^-t cancels up to 25 leading digits for t >= 1e-25; 25 spare digits keep all 60.
+_WIDE = Context(prec=_PRECISION - _SERIES_CUTOFF.adjusted())
 
 MIN_BITS = 1
 MAX_BITS = 160
@@ -91,9 +94,10 @@ class Probability:
     ln_value: Decimal
 
     def __post_init__(self):
-        ln_value = Decimal(self.ln_value)
-        if ln_value.is_nan() or ln_value > 0:
-            raise ValueError(f"log-probability must be <= 0, got {ln_value}")
+        with localcontext(_CTX):
+            ln_value = Decimal(self.ln_value)
+            if ln_value.is_nan() or ln_value > 0:
+                raise ValueError(f"log-probability must be <= 0, got {ln_value}")
         object.__setattr__(self, "ln_value", ln_value)
 
     @classmethod
@@ -106,8 +110,7 @@ class Probability:
 
     @property
     def value(self) -> Decimal:
-        with localcontext() as ctx:
-            ctx.prec = _PRECISION
+        with localcontext(_CTX):
             return self.ln_value.exp()
 
     def complement(self) -> "Probability":
@@ -118,10 +121,10 @@ class Probability:
         """Scientific-notation rendering with 1 to 60 significant digits."""
         if not 1 <= digits <= _PRECISION:
             raise ValueError(f"digits must be in [1, {_PRECISION}], got {digits}")
-        # Decimal renders a zero's exponent from its digit count ("0.0e+1");
-        # a zero scaled by those digits renders as "0.0e+0", like "1.0e+0".
-        value = self.value or Decimal(0).scaleb(1 - digits)
-        return format(value, f".{digits - 1}e")
+        with localcontext(_CTX):  # format() rounds in the current context
+            # Decimal renders a zero's exponent from its digit count ("0.0e+1");
+            # a zero scaled by those digits renders as "0.0e+0", like "1.0e+0".
+            return format(self.value or Decimal(0).scaleb(1 - digits), f".{digits - 1}e")
 
     def __float__(self) -> float:
         return float(self.value)
@@ -132,13 +135,11 @@ class Probability:
 
 def _ln_one_minus_exp(ln_p: Decimal) -> Decimal:
     """ln(1 - e^x) for x <= 0, accurate for x arbitrarily close to 0."""
-    if ln_p == 0:
-        return Decimal("-Infinity")
-    if ln_p.is_infinite():
-        return Decimal(0)
-    with localcontext() as ctx:
-        # 1 - e^-t cancels up to 25 leading digits for t >= 1e-25; 25 spare digits keep all 60.
-        ctx.prec = _PRECISION - _SERIES_CUTOFF.adjusted()
+    with localcontext(_WIDE):
+        if ln_p == 0:
+            return Decimal("-Infinity")
+        if ln_p.is_infinite():
+            return Decimal(0)
         t = -ln_p
         if t < _SERIES_CUTOFF:
             # 1 - e^-t = t(1 - t/2 + t^2/6 - t^3/24 + ...); truncation error
@@ -151,10 +152,8 @@ def _ln_one_minus_exp(ln_p: Decimal) -> Decimal:
 def approx_no_collision_prob(query: CollisionQuery) -> Probability:
     """exp(-n(n-1) / (2 * 2^bits)), the standard birthday approximation."""
     n = query.count
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        ln_p = -Decimal(n * (n - 1)) / Decimal(1 << (query.effective_bits + 1))
-    return Probability(ln_p)
+    with localcontext(_CTX):
+        return Probability(-Decimal(n * (n - 1)) / Decimal(1 << (query.effective_bits + 1)))
 
 
 def collision_prob(query: CollisionQuery) -> Probability:
@@ -180,8 +179,7 @@ def exact_no_collision_prob(query: CollisionQuery) -> Probability:
         return Probability.impossible()
     if bits > EXACT_MAX_BITS:
         raise DomainTooLarge(f"exact form supports at most {EXACT_MAX_BITS} bits, got {bits}")
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
+    with localcontext(_CTX):
         d_dec = Decimal(1 << bits)
         total = Decimal(0)
         for k in range(1, n):
@@ -198,16 +196,14 @@ def count_for_probability(effective_bits: int, p) -> float:
     """
     if not MIN_BITS <= effective_bits <= MAX_BITS:
         raise ValueError(f"effective_bits must be in [{MIN_BITS}, {MAX_BITS}]")
-    p_dec = p if isinstance(p, Decimal) else Decimal(str(p))
-    # Decimal raises InvalidOperation when NaN is compared.
-    if p_dec.is_nan() or not 0 < p_dec < 1:
-        raise ValueError(f"target probability must be in (0, 1), got {p}")
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
+    with localcontext(_CTX):
+        p_dec = p if isinstance(p, Decimal) else Decimal(str(p))
+        # Decimal raises InvalidOperation when NaN is compared.
+        if p_dec.is_nan() or not 0 < p_dec < 1:
+            raise ValueError(f"target probability must be in (0, 1), got {p}")
         # -ln(1 - p); below the cutoff 1 - p would round to 1 at 60 digits.
         ln_term = p_dec + p_dec * p_dec / 2 if p_dec < _SERIES_CUTOFF else -(1 - p_dec).ln()
-        n = (2 * Decimal(1 << effective_bits) * ln_term).sqrt()
-    return float(n)
+        return float((2 * Decimal(1 << effective_bits) * ln_term).sqrt())
 
 
 def relative_risk(a: IdScheme, b: IdScheme, count: int) -> float:
@@ -220,10 +216,8 @@ def relative_risk(a: IdScheme, b: IdScheme, count: int) -> float:
         raise ValueError("relative risk needs at least two identifiers")
     p_a = collision_prob(CollisionQuery(a.effective_random_bits, count))
     p_b = collision_prob(CollisionQuery(b.effective_random_bits, count))
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        ratio = (p_a.ln_value - p_b.ln_value).exp()
-        return float(1 - ratio)
+    with localcontext(_CTX):
+        return float(1 - (p_a.ln_value - p_b.ln_value).exp())
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import time
 from contextlib import suppress
-from dataclasses import dataclass
 from os import urandom
 from random import Random
 from typing import Protocol
@@ -232,7 +231,6 @@ class FixedClock:
         self.millis += delta_ms
 
 
-@dataclass(slots=True)
 class MonotonicState:
     """Last (timestamp, random) pair issued by one monotonic ULID generator.
 
@@ -240,8 +238,10 @@ class MonotonicState:
     state must be serialized, one state per producer or an external lock.
     """
 
-    last_ts: Timestamp48 = 0
-    last_random: int = 0
+    __slots__ = ("last_ts", "last_random")
+
+    def __init__(self, last_ts: Timestamp48 = 0, last_random: int = 0):
+        self.last_ts, self.last_random = last_ts, last_random
 
 
 def check_timestamp48(millis: int) -> Timestamp48:

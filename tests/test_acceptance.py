@@ -256,11 +256,11 @@ def test_c9_size_accounting(capsys, tmp_path):
     assert serialized_size(IdScheme.UUID_V4, 2) == 72
     assert serialized_size(IdScheme.UUID_V7, 2) == 72
 
-    rows = [CSV_HEADER] + [f"{i},10.0,416,100.0" for i in range(3)]
+    # 1,000 ids per sample: bandwidthMbps x durationMicros / 8 is 52 and 72 bytes per id.
     ulid_csv = tmp_path / "metrics_ULID.csv"
     uuid_csv = tmp_path / "metrics_UUID_V4.csv"
-    ulid_csv.write_text("\n".join(rows) + "\n")
-    uuid_csv.write_text("\n".join(rows) + "\n")
+    ulid_csv.write_text("\n".join([CSV_HEADER] + [f"{i},10.0,416000,41.6" for i in range(3)]) + "\n")
+    uuid_csv.write_text("\n".join([CSV_HEADER] + [f"{i},10.0,576000,57.6" for i in range(3)]) + "\n")
     assert cli.main(["report", "--in", str(ulid_csv), str(uuid_csv)]) == 0
     out = capsys.readouterr().out
     assert "size reduction 27.8%" in out

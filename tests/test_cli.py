@@ -596,8 +596,9 @@ def test_threaded_sim_csv_row_says_wall(capsys):
     assert row.endswith(",wall")
 
 
-def _write_metrics(path, duration):
-    rows = [CSV_HEADER] + [f"{i},{duration},416,{100.0}" for i in range(5)]
+def _write_metrics(path, duration, size=52):
+    # 1,000 ids of ``size`` bytes per sample: bandwidthMbps x durationMicros / 8 is ``size``.
+    rows = [CSV_HEADER] + [f"{i},{duration},{size * 8000},{size * 8 / duration}" for i in range(5)]
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -605,7 +606,7 @@ def test_report_size_reduction(capsys, tmp_path):
     ulid_csv = tmp_path / "metrics_ULID.csv"
     uuid_csv = tmp_path / "metrics_UUID_V4.csv"
     _write_metrics(ulid_csv, 10.0)
-    _write_metrics(uuid_csv, 20.0)
+    _write_metrics(uuid_csv, 20.0, size=72)
     status, out, _ = run_cli(capsys, "report", "--in", str(ulid_csv), str(uuid_csv))
     assert status == 0
     assert "size reduction 27.8%" in out
@@ -624,15 +625,74 @@ def test_report_single_input_no_ratios(capsys, tmp_path):
 def test_report_labels_an_unknown_scheme_by_its_file_stem(capsys, tmp_path):
     foo_csv = tmp_path / "metrics_FOO.csv"
     ulid_csv = tmp_path / "metrics_ULID.csv"
-    _write_metrics(foo_csv, 20.0)
+    _write_metrics(foo_csv, 20.0, size=72)
     _write_metrics(ulid_csv, 10.0)
     status, out, _ = run_cli(capsys, "report", "--in", str(foo_csv), str(ulid_csv))
     assert status == 0
     lines = out.splitlines()
     assert lines[1].startswith("metrics_FOO ")
-    assert lines[1].endswith(" -")
-    # No size is known for metrics_FOO, so its pair gets a speedup and no size reduction.
-    assert lines[3:] == ["metrics_FOO vs ulid: generation speedup 0.5x"]
+    # The size comes from the file's rows, not from its name.
+    assert lines[1].endswith(" 72")
+    assert lines[3:] == [
+        "metrics_FOO vs ulid: generation speedup 0.5x, size reduction -38.5%",
+        f"note: {HEADLINE_RATIO_NOTE}",
+    ]
+
+
+def _bench_pair(tmp_path, names, *flags):
+    """Write one virtual-time ULID and one UUIDv7 bench file under ``names``; return their paths."""
+    paths = [str(tmp_path / name) for name in names]
+    for scheme, path in zip(("ulid", "uuidv7"), paths):
+        bench = ["bench", "--scheme", scheme, "--virtual-time", "--seed", "9", "--interval-ms", "0", *flags]
+        assert cli.main([*bench, "--samples", "8", "--ids-per-sample", "10", "--out", path]) == 0
+    return paths
+
+
+def test_report_reads_one_byte_per_char_sizes_from_the_files(capsys, tmp_path):
+    paths = _bench_pair(tmp_path, ["metrics_ULID.csv", "metrics_UUID_V7.csv"], "--bytes-per-char", "1")
+    capsys.readouterr()
+    status, out, err = run_cli(capsys, "report", "--in", *paths)
+    assert (status, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1].split()[::3] == ["ulid", "26"]
+    assert lines[2].split()[::3] == ["uuidv7", "36"]
+    assert lines[3] == "ulid vs uuidv7: generation speedup 1x, size reduction 27.8%"
+
+
+def test_report_gives_a_renamed_file_its_size(capsys, tmp_path):
+    paths = _bench_pair(tmp_path, ["first.csv", "second.csv"])
+    capsys.readouterr()
+    status, out, _ = run_cli(capsys, "report", "--in", *paths)
+    assert status == 0
+    lines = out.splitlines()
+    assert lines[1].split()[::3] == ["first", "52"]
+    assert lines[2].split()[::3] == ["second", "72"]
+    assert lines[3] == "first vs second: generation speedup 1x, size reduction 27.8%"
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        (["0,10.0,416000,41.6", "1,10.0,576000,57.6"], 3),  # 52 then 72 bytes per id
+        (["0,0.01,8,0.01"], 2),  # rounds to 0 bytes per id
+        (["0,1e200,8,1e200"], 2),  # the product overflows to inf
+    ],
+    ids=["rows-disagree", "zero-bytes", "overflow"],
+)
+def test_report_refuses_rows_without_one_size(capsys, tmp_path, rows, line):
+    path = tmp_path / "metrics_ULID.csv"
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    expected = f"error: {path}:{line}: bytes per id is below 1 or differs from line 2's\n"
+    assert run_cli(capsys, "report", "--in", str(path)) == (1, "", expected)
+
+
+def test_report_has_no_bytes_per_char_flag(capsys, tmp_path):
+    path = tmp_path / "metrics_ULID.csv"
+    _write_metrics(path, 10.0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(path), "--bytes-per-char", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bytes-per-char 1" in capsys.readouterr().err
 
 
 def test_report_identical_inputs_neutral_ratios(capsys, tmp_path):
@@ -723,7 +783,7 @@ def test_number_flags_and_metrics_cells_accept_the_same_text(capsys, tmp_path, f
 @pytest.mark.parametrize("duration", ["0", "nan", "-1"])
 def test_report_refuses_durations_it_cannot_divide_by(capsys, tmp_path, duration):
     path = tmp_path / "metrics_ULID.csv"
-    _write_metrics(path, duration)
+    path.write_text(f"{CSV_HEADER}\n0,{duration},416000,41.6\n")
     status, out, err = run_cli(capsys, "report", "--in", str(path), str(path))
     assert status == 1
     assert "error" in err
@@ -818,9 +878,7 @@ _UUIDV7 = ["--scheme", "uuidv7", "--partitions", "3", "--consumers", "2"]
 )
 def test_golden_output(capsys, tmp_path, argv, out, err):
     if argv[0] == "report":  # over virtual-time bench files, one of them given twice
-        for scheme, name in (("ulid", "metrics_ULID.csv"), ("uuidv7", "metrics_UUID_V7.csv")):
-            bench = ["bench", "--scheme", scheme, "--virtual-time", "--seed", "9", "--interval-ms", "0"]
-            assert cli.main([*bench, "--samples", "8", "--ids-per-sample", "10", "--out", str(tmp_path / name)]) == 0
+        _bench_pair(tmp_path, ["metrics_ULID.csv", "metrics_UUID_V7.csv"])
         capsys.readouterr()
         argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
     assert run_cli(capsys, *argv) == (0, out, err)

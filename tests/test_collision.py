@@ -1,6 +1,17 @@
 import dataclasses
 import math
-from decimal import Decimal, localcontext
+from decimal import (
+    ROUND_DOWN,
+    ROUND_FLOOR,
+    ROUND_UP,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    localcontext,
+)
 from fractions import Fraction
 
 import pytest
@@ -69,13 +80,13 @@ def test_tiny_probability_keeps_significant_digits():
     assert rel_err(float(actual), float(reference)) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "bits, n",
-    [
-        (80, 2), (80, 10**3), (80, 10**6), (74, 10**6), (122, 10**9), (74, 10**9), (32, 10**3), (24, 100),
-        (160, 10**20), (160, 2), (40, 10**6), (8, 10), (1, 2), (83, 2), (84, 2),
-    ],
-)
+_SIXTY_DIGIT_PROBES = [
+    (80, 2), (80, 10**3), (80, 10**6), (74, 10**6), (122, 10**9), (74, 10**9), (32, 10**3), (24, 100),
+    (160, 10**20), (160, 2), (40, 10**6), (8, 10), (1, 2), (83, 2), (84, 2),
+]
+
+
+@pytest.mark.parametrize("bits, n", _SIXTY_DIGIT_PROBES)
 def test_collision_prob_prints_sixty_correct_digits(bits, n):
     # 1 - e^-t cancels up to 25 leading digits on these probes; every printed digit must still hold.
     with localcontext() as ctx:
@@ -83,6 +94,36 @@ def test_collision_prob_prints_sixty_correct_digits(bits, n):
         reference = 1 - (-Decimal(n * (n - 1)) / Decimal(1 << (bits + 1))).exp()
         expected = format(reference, ".59e")
     assert collision_prob(CollisionQuery(bits, n)).sci(60) == expected
+
+
+def _collision_outputs():
+    table = risk_table()
+    return (
+        [collision_prob(CollisionQuery(bits, n)).sci(60) for bits, n in _SIXTY_DIGIT_PROBES],
+        [table.cell(rate, scheme).sci(2) for rate in table.rates for scheme in table.schemes],
+        count_for_probability(80, 0.5),
+        count_for_probability(122, 0.5),
+        relative_risk(IdScheme.ULID, IdScheme.UUID_V7, 10**6),
+        exact_no_collision_prob(CollisionQuery(12, 64)).sci(30),
+    )
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [
+        Context(rounding=ROUND_UP),
+        Context(rounding=ROUND_DOWN),
+        Context(rounding=ROUND_FLOOR),
+        Context(traps=[InvalidOperation, DivisionByZero, Overflow, Inexact]),
+        Context(Emin=-20, Emax=20),
+        Context(prec=5),
+    ],
+    ids=["round-up", "round-down", "round-floor", "trap-inexact", "narrow-exponent", "prec-5"],
+)
+def test_results_do_not_depend_on_the_callers_decimal_context(caller):
+    expected = _collision_outputs()
+    with localcontext(caller):
+        assert _collision_outputs() == expected
 
 
 def test_tiny_probability_ratio_method_witness():

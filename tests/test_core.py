@@ -242,7 +242,7 @@ def test_generators_reject_clock_outside_48_bits(millis):
     state = MonotonicState(last_ts=5, last_random=7)
     with pytest.raises(ValueError, match=message):
         next_monotonic_ulid(state, clock, SeededEntropy(0))
-    assert state == MonotonicState(last_ts=5, last_random=7)
+    assert (state.last_ts, state.last_random) == (5, 7)
     with pytest.raises(ValueError, match=message):
         generate_ulid(clock, SeededEntropy(0))
     with pytest.raises(ValueError, match=message):
@@ -418,13 +418,20 @@ def test_int_bytes_conversions_name_their_byteorder():
     assert found == []
 
 
-def _cold_python(code: str) -> list[str]:
+def _cold_python(code: str, *flags: str) -> list[str]:
     """Run ``code`` in a fresh interpreter that imports this uidlab; return its output lines."""
     src = str(Path(core.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # -S keeps site-packages' start-up hooks from loading them on the program's behalf.
+    modules = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+    code = f"import sys, uidlab, uidlab.cli; print(sorted({modules} & set(sys.modules)))"
+    assert _cold_python(code, "-S") == ["[]"]
 
 
 def test_import_loads_no_secrets_or_hashlib():
