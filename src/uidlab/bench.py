@@ -20,9 +20,9 @@ and the CSV schema are the reproducible parts.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import _LAZY, codec
 from .codec import serialized_size
@@ -135,7 +135,7 @@ def run_generation_bench(
     ``time.sleep``; pass a :class:`SimulatedTimer` and a no-op sleep for a
     deterministic virtual-time run.
     """
-    timer = timer_ns or time.perf_counter_ns
+    timer = timer_ns if timer_ns is not None else time.perf_counter_ns
     wait = sleep if sleep is not None else time.sleep
     mint = codec.minter(cfg.scheme, clock, rng)
     payload_bits = cfg.ids_per_sample * serialized_size(cfg.scheme, cfg.bytes_per_char) * 8
@@ -237,10 +237,13 @@ def metrics_filename(scheme: IdScheme) -> str:
     return f"metrics_{scheme.value}.csv"
 
 
-def _metrics_scheme(path) -> IdScheme | None:
-    """The scheme named by a metrics_<SCHEME> file name, the inverse of metrics_filename; else None."""
-    stem = Path(path).stem
+def report_label(path) -> str:
+    """How report names a file: the scheme's CLI name for a metrics_<SCHEME> file (the inverse of
+    metrics_filename), else the file's stem by the rule of pathlib.PurePath.stem through 3.13."""
+    name = os.path.basename(path)
+    i = name.rfind(".")
+    stem = name[:i] if 0 < i < len(name) - 1 else name
     try:
-        return IdScheme.parse(stem[len("metrics_"):]) if stem.startswith("metrics_") else None
+        return IdScheme.parse(stem[len("metrics_"):]).cli_name if stem.startswith("metrics_") else stem
     except ValueError:
-        return None
+        return stem

@@ -7,7 +7,6 @@ import math
 import os
 import sys
 from itertools import combinations
-from pathlib import Path
 
 from . import codec
 from . import sim as sim_mod
@@ -236,9 +235,7 @@ def _cmd_report(args, parser) -> int:
         if line:
             raise bench_mod.MalformedMetrics(f"{path}:{line}: bytes per id is below 1 or differs from line 2's")
         summary = bench_mod.summarize(samples)
-        scheme = bench_mod._metrics_scheme(path)
-        label = scheme.cli_name if scheme else Path(path).stem
-        rows.append((label, summary.duration_micros.mean, summary.bandwidth_mbps.mean, sizes[0]))
+        rows.append((bench_mod.report_label(path), summary.duration_micros.mean, summary.bandwidth_mbps.mean, sizes[0]))
 
     header = ("scheme", "mean durationMicros", "mean bandwidthMbps", "bytes/id")
     _write(header, rows, False, (-12, 22, 22, 10))

@@ -33,7 +33,6 @@ import time
 from contextlib import suppress
 from os import urandom
 from random import Random
-from typing import Protocol
 
 __all__ = [
     "UID128_MAX",
@@ -168,14 +167,14 @@ class IdScheme(enum.Enum):
         raise ValueError(f"unknown identifier scheme: {name!r}")
 
 
-class RandomSource(Protocol):
-    """Supplier of uniformly random bit strings, k <= 128 per call."""
+class RandomSource:
+    """Supplier of uniformly random bit strings, k <= 128 per call; any object with ``next_bits(k)`` works."""
 
     def next_bits(self, k: int) -> int: ...
 
 
-class ClockSource(Protocol):
-    """Supplier of millisecond Unix timestamps."""
+class ClockSource:
+    """Supplier of millisecond Unix timestamps; any object with ``now()`` works."""
 
     def now(self) -> Timestamp48: ...
 
@@ -257,7 +256,7 @@ def generate_uuidv4(rng: RandomSource | None = None) -> Uid128:
     With no ``rng`` the value is 16 ``os.urandom`` bytes with the fixed bits
     overwritten by mask; a supplied ``rng`` gives 122 bits spread around them.
     """
-    if rng:
+    if rng is not None:
         r = rng.next_bits(122)
         return ((r >> 74) << 80) | (((r >> 62) & 0xFFF) << 64) | (r & _LOW62) | _V4_FIXED
     # SystemEntropy.next_bits, inlined
@@ -275,10 +274,10 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
     with the fixed bits overwritten by mask; a supplied ``rng`` gives 74 bits
     spread around them.
     """
-    ts = clock.now() if clock else time.time_ns() // 1_000_000  # the system clock, inline
+    ts = clock.now() if clock is not None else time.time_ns() // 1_000_000  # the system clock, inline
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
-    if rng:
+    if rng is not None:
         r = rng.next_bits(74)
         return (ts << 80) | ((r >> 62) << 64) | (r & _LOW62) | _V7_FIXED
     # SystemEntropy.next_bits, inlined
@@ -287,11 +286,11 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
 
 def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
     """Generate a ULID value: 48-bit millisecond timestamp and 80 random bits."""
-    ts = clock.now() if clock else time.time_ns() // 1_000_000  # the system clock, inline
+    ts = clock.now() if clock is not None else time.time_ns() // 1_000_000  # the system clock, inline
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
     # SystemEntropy.next_bits, inlined
-    return (ts << 80) | (rng.next_bits(80) if rng else _from_bytes(urandom(10), "big"))
+    return (ts << 80) | (rng.next_bits(80) if rng is not None else _from_bytes(urandom(10), "big"))
 
 
 def next_monotonic_ulid(
@@ -308,12 +307,12 @@ def next_monotonic_ulid(
     component cannot be incremented; the caller should retry after the next
     clock tick.
     """
-    now = clock.now() if clock else time.time_ns() // 1_000_000  # the system clock, inline
+    now = clock.now() if clock is not None else time.time_ns() // 1_000_000  # the system clock, inline
     if not 0 <= now <= TIMESTAMP48_MAX:
         check_timestamp48(now)  # raises; the range test is inlined to save a call per id
     if now > state.last_ts:
         # SystemEntropy.next_bits, inlined
-        rand = rng.next_bits(80) if rng else _from_bytes(urandom(10), "big")
+        rand = rng.next_bits(80) if rng is not None else _from_bytes(urandom(10), "big")
         state.last_ts = now
         state.last_random = rand
         return (now << 80) | rand

@@ -20,8 +20,8 @@ from __future__ import annotations
 import threading
 import time
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import _LAZY, codec
 from .core import (
@@ -52,12 +52,8 @@ class UnknownPartition(ValueError):
     pass
 
 
-class Event(NamedTuple):
-    """One simulated message: serialized identifier plus provenance."""
-
-    id: str
-    producer: int
-    seq: int
+Event = namedtuple("Event", ("id", "producer", "seq"))
+Event.__doc__ = "One simulated message: serialized identifier plus provenance."
 
 
 def partition_for(id_text: str, partitions: int) -> int:
@@ -375,7 +371,7 @@ def _run_threads(cfg, topic, publish, minters, assignments, drain) -> int:
                 except RandomOverflow:
                     waits[index] += 1
                     time.sleep(0.001)
-            # tuple.__new__ skips the NamedTuple's Python-level __new__; still an Event.
+            # tuple.__new__ skips the namedtuple's Python-level __new__; still an Event.
             publish(tuple.__new__(Event, (id_text, index, seq)))
             if cfg.produce_interval > 0:
                 time.sleep(cfg.produce_interval)

@@ -123,6 +123,16 @@ def test_positive_interval_sleeps_out_the_rest_of_each_sample():
     assert slept == [0.25 - 2500 / 1e9] * 3
 
 
+def test_a_timer_that_tests_false_is_still_used():
+    class FalsyTimer(SimulatedTimer):
+        def __bool__(self):
+            return False
+
+    cfg = BenchConfig(scheme=IdScheme.ULID, sample_interval=0.0, total_samples=2, ids_per_sample=10)
+    samples = run_generation_bench(cfg, FixedClock(1), SeededEntropy(1), timer_ns=FalsyTimer(2500), sleep=None)
+    assert [s.duration_micros for s in samples] == [0.25, 0.25]
+
+
 def test_timer_resolution_too_coarse():
     cfg = BenchConfig(scheme=IdScheme.ULID, sample_interval=0.0, total_samples=1, ids_per_sample=1)
     with pytest.raises(TimerResolutionTooCoarse):

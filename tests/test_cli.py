@@ -3,13 +3,13 @@ import struct
 import subprocess
 import sys
 import time
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 
 from uidlab import cli
 from uidlab import sim as sim_mod
-from uidlab.bench import CSV_HEADER, HEADLINE_RATIO_NOTE
+from uidlab.bench import CSV_HEADER, HEADLINE_RATIO_NOTE, report_label
 from uidlab.collision import UUIDV4_TABLE_NOTE
 from uidlab.core import SystemEntropy
 
@@ -637,6 +637,38 @@ def test_report_labels_an_unknown_scheme_by_its_file_stem(capsys, tmp_path):
         "metrics_FOO vs ulid: generation speedup 0.5x, size reduction -38.5%",
         f"note: {HEADLINE_RATIO_NOTE}",
     ]
+
+
+# File name -> report's label: the scheme's CLI name for metrics_<SCHEME>, else the
+# stem by pathlib.PurePath.stem's rule through 3.13 (3.14 counts a lone trailing dot as
+# a suffix), which os.path.splitext does not follow for "run." or "..csv".
+_REPORT_LABELS = [
+    ("metrics_ULID.csv", "ulid"),
+    ("dir/metrics_UUID_V7.csv", "uuidv7"),
+    ("metrics_bogus.csv", "metrics_bogus"),
+    ("run.", "run."),
+    ("..csv", "."),
+    (".hidden", ".hidden"),
+    ("a.b.csv", "a.b"),
+    ("metrics_ULID..csv", "metrics_ULID."),
+]
+
+
+@pytest.mark.parametrize("name, label", _REPORT_LABELS)
+def test_report_label_is_the_scheme_or_the_file_stem(name, label):
+    assert report_label(name) == label
+    if sys.version_info < (3, 14) and label not in ("ulid", "uuidv7"):
+        assert label == PurePath(name).stem
+
+
+def test_report_labels_each_file_by_report_label(capsys, tmp_path):
+    (tmp_path / "dir").mkdir()
+    paths = [str(tmp_path / name) for name, _ in _REPORT_LABELS]
+    for path in paths:
+        _write_metrics(Path(path), 10.0)
+    status, out, _ = run_cli(capsys, "report", "--in", *paths)
+    assert status == 0
+    assert [line.split()[0] for line in out.splitlines()[1:len(paths) + 1]] == [label for _, label in _REPORT_LABELS]
 
 
 def _bench_pair(tmp_path, names, *flags):

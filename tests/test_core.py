@@ -210,6 +210,53 @@ def test_monotonic_property_under_any_clock(start, steps, draws):
         previous = value
 
 
+class ReplayBits:
+    """Replays fixed draws, then raises IndexError; len() counts the draws left."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def __len__(self):
+        return len(self.draws)
+
+    def next_bits(self, k):
+        return self.draws.pop(0)
+
+
+class FalsyClock:
+    """Reads millisecond 0 and tests false."""
+
+    def __bool__(self):
+        return False
+
+    def now(self):
+        return 0
+
+
+# Each generator as (clock, rng) -> value; a fresh state draws whenever the clock reads above 0.
+_GENERATORS = {
+    "uuidv4": lambda clock, rng: generate_uuidv4(rng),
+    "uuidv7": generate_uuidv7,
+    "ulid": generate_ulid,
+    "monotonic_ulid": lambda clock, rng: next_monotonic_ulid(MonotonicState(), clock, rng),
+}
+
+
+@pytest.mark.parametrize("generator", _GENERATORS.values(), ids=_GENERATORS)
+def test_a_source_that_tests_false_is_still_used(generator):
+    rng = ReplayBits(0, 0)
+    expected = generator(FixedClock(5), ConstantBits())
+    assert [generator(FixedClock(5), rng), generator(FixedClock(5), rng)] == [expected, expected]
+    assert not rng
+    with pytest.raises(IndexError):  # the empty source raises; no OS draw stands in for it
+        generator(FixedClock(5), rng)
+
+
+@pytest.mark.parametrize("name", ["uuidv7", "ulid", "monotonic_ulid"])
+def test_a_clock_that_tests_false_is_still_read(name):
+    assert _GENERATORS[name](FalsyClock(), SeededEntropy(1)) >> 80 == 0
+
+
 def test_extract_timestamp_round_trips():
     clock = FixedClock(777_000_123)
     rng = SeededEntropy(8)
@@ -432,6 +479,13 @@ def test_import_loads_no_dataclasses_or_inspect():
     modules = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
     code = f"import sys, uidlab, uidlab.cli; print(sorted({modules} & set(sys.modules)))"
     assert _cold_python(code, "-S") == ["[]"]
+
+
+def test_import_loads_no_typing_pathlib_or_urllib():
+    # Nor does a first read of sim, bench or collision; -S as above.
+    check = "print(sorted(m for m in sys.modules if m.partition('.')[0] in {'typing', 'pathlib', 'urllib'}))"
+    code = "\n".join(["import sys, uidlab, uidlab.cli", check, "uidlab.sim.Event, uidlab.bench, uidlab.collision", check])
+    assert _cold_python(code, "-S") == ["[]", "[]"]
 
 
 def test_import_loads_no_secrets_or_hashlib():
