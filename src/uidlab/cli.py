@@ -299,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partitions", type=_int, default=4)
     p.add_argument("--consumers", type=_int, default=4)
     p.add_argument("--produce-interval-ms", type=_float, default=0.0)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="producer i draws from seed + i; --deterministic only")
     p.add_argument("--deterministic", action="store_true", help="single-threaded virtual-time replay")
     p.add_argument("--persist", default=None, help="write stored ids to this file, one per line, overwriting it")
     p.add_argument("--csv", action="store_true")

@@ -18,20 +18,21 @@ Randomness and time come in through tiny source objects (``next_bits`` /
 ``now``) so that every generator can be driven deterministically in tests
 and replayed from a seed. The defaults are the operating-system CSPRNG and
 the system clock, both read inline. With no random source, each id is one
-fresh ``os.urandom`` call of 16 bytes (UUIDv4) or 10 bytes (UUIDv7, ULID),
-read through ``_from_bytes``, which is ``int.from_bytes`` bound once; a
-UUID's version and variant bits are then overwritten in place by mask, which
-leaves the other bits as uniform as the draw. A supplied source is
-asked for exactly the random bits (122, 74 or 80), which are packed around
-the fixed fields, so a seeded stream replays bit for bit.
+fresh ``_draw`` call of 16 bytes (UUIDv4) or 10 bytes (UUIDv7, ULID):
+``os.getrandom``, which keeps the GIL that ``os.urandom`` gives up, or else
+``os.urandom``. It is read through ``_from_bytes`` (``int.from_bytes`` bound
+once); a UUID's version and variant bits are then overwritten in place by
+mask, which leaves the other bits as uniform as the draw. A supplied source
+is asked for exactly the random bits (122, 74 or 80), which are packed
+around the fixed fields, so a seeded stream replays bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 import time
 from contextlib import suppress
-from os import urandom
 from random import Random
 
 __all__ = [
@@ -81,6 +82,11 @@ _V4_FREE = UID128_MAX ^ (0xF << _VERSION_SHIFT) ^ (0b11 << _VARIANT_SHIFT)
 _V7_FREE = RANDOM80_MAX ^ (0xF << _VERSION_SHIFT) ^ (0b11 << _VARIANT_SHIFT)
 # Bound once: int.from_bytes is a classmethod, so each lookup builds a method.
 _from_bytes = int.from_bytes
+try:  # a nonblocking probe: a seeded kernel pool, so no draw blocks with the GIL held
+    _draw = os.getrandom
+    _draw(1, os.GRND_NONBLOCK)
+except (AttributeError, OSError):  # no getrandom, ENOSYS or EPERM, or an unseeded pool
+    _draw = os.urandom
 
 # Longest interval, in seconds, that the samplers and producers may sleep.
 # time.sleep raises OverflowError far above it (1e300 s) and OSError already
@@ -182,16 +188,16 @@ class ClockSource:
 class SystemEntropy:
     """Cryptographically strong bits from the operating system.
 
-    Each draw is one fresh ``os.urandom`` call of ``ceil(k / 8)`` bytes, the
-    body of ``random.SystemRandom.getrandbits`` (which ``secrets.randbits``
-    runs) without its two Python frames. No bytes are pooled between calls,
-    so nothing random stays in process memory and a fork needs no handling.
+    Each draw is one fresh ``_draw`` call of ``ceil(k / 8)`` bytes (see the
+    module docstring), the body of ``random.SystemRandom.getrandbits`` without
+    its two Python frames. No bytes are pooled between calls, so nothing
+    random stays in process memory and a fork needs no handling.
     """
 
     def next_bits(self, k: int) -> int:
         if not 0 <= k <= 128:
             raise ValueError(f"bit count must be in [0, 128], got {k}")
-        return _from_bytes(urandom((k + 7) >> 3), "big") >> (-k & 7)
+        return _from_bytes(_draw((k + 7) >> 3), "big") >> (-k & 7)
 
 
 class SeededEntropy:
@@ -253,14 +259,14 @@ def check_timestamp48(millis: int) -> Timestamp48:
 def generate_uuidv4(rng: RandomSource | None = None) -> Uid128:
     """Generate a version-4 UUID: 122 random bits plus fixed version/variant.
 
-    With no ``rng`` the value is 16 ``os.urandom`` bytes with the fixed bits
+    With no ``rng`` the value is 16 ``_draw`` bytes with the fixed bits
     overwritten by mask; a supplied ``rng`` gives 122 bits spread around them.
     """
     if rng is not None:
         r = rng.next_bits(122)
         return ((r >> 74) << 80) | (((r >> 62) & 0xFFF) << 64) | (r & _LOW62) | _V4_FIXED
-    # SystemEntropy.next_bits, inlined
-    return _from_bytes(urandom(16), "big") & _V4_FREE | _V4_FIXED
+    # SystemEntropy.next_bits, inlined: one fresh _draw call
+    return _from_bytes(_draw(16), "big") & _V4_FREE | _V4_FIXED
 
 
 def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
@@ -270,7 +276,7 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
     variant bits are both plain randomness (74 random bits total), so two
     identifiers from the same millisecond carry no ordering guarantee.
 
-    With no ``rng`` the 80 bits under the timestamp are 10 ``os.urandom`` bytes
+    With no ``rng`` the 80 bits under the timestamp are 10 ``_draw`` bytes
     with the fixed bits overwritten by mask; a supplied ``rng`` gives 74 bits
     spread around them.
     """
@@ -280,8 +286,8 @@ def generate_uuidv7(clock: ClockSource | None = None, rng: RandomSource | None =
     if rng is not None:
         r = rng.next_bits(74)
         return (ts << 80) | ((r >> 62) << 64) | (r & _LOW62) | _V7_FIXED
-    # SystemEntropy.next_bits, inlined
-    return (ts << 80) | (_from_bytes(urandom(10), "big") & _V7_FREE) | _V7_FIXED
+    # SystemEntropy.next_bits, inlined: one fresh _draw call
+    return (ts << 80) | (_from_bytes(_draw(10), "big") & _V7_FREE) | _V7_FIXED
 
 
 def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = None) -> Uid128:
@@ -289,8 +295,8 @@ def generate_ulid(clock: ClockSource | None = None, rng: RandomSource | None = N
     ts = clock.now() if clock is not None else time.time_ns() // 1_000_000  # the system clock, inline
     if not 0 <= ts <= TIMESTAMP48_MAX:
         check_timestamp48(ts)  # raises; the range test is inlined to save a call per id
-    # SystemEntropy.next_bits, inlined
-    return (ts << 80) | (rng.next_bits(80) if rng is not None else _from_bytes(urandom(10), "big"))
+    # SystemEntropy.next_bits, inlined: one fresh _draw call
+    return (ts << 80) | (rng.next_bits(80) if rng is not None else _from_bytes(_draw(10), "big"))
 
 
 def next_monotonic_ulid(
@@ -311,8 +317,8 @@ def next_monotonic_ulid(
     if not 0 <= now <= TIMESTAMP48_MAX:
         check_timestamp48(now)  # raises; the range test is inlined to save a call per id
     if now > state.last_ts:
-        # SystemEntropy.next_bits, inlined
-        rand = rng.next_bits(80) if rng is not None else _from_bytes(urandom(10), "big")
+        # SystemEntropy.next_bits, inlined: one fresh _draw call
+        rand = rng.next_bits(80) if rng is not None else _from_bytes(_draw(10), "big")
         state.last_ts = now
         state.last_random = rand
         return (now << 80) | rand

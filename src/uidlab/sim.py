@@ -12,7 +12,7 @@ One driver, ``run_simulation``, runs both execution modes over the same
 topic, sink, producers and drain: a deterministic mode that steps everything
 round-robin on the calling thread against a virtual millisecond clock, so a
 seed reproduces the full report bit for bit, and a threaded mode, where a
-helper runs producers and consumers concurrently against real time.
+helper runs producers and consumers concurrently on real time and OS entropy.
 """
 
 from __future__ import annotations
@@ -221,6 +221,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:  # producer i draws from seed + i, each seed non-negative
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed and not self.deterministic:
+            raise ValueError("seed must be 0 in threaded mode, which draws from the OS")
         if not 0 <= self.produce_interval <= _MAX_SLEEP_S:
             raise ValueError(f"produce_interval must be in [0, {_MAX_SLEEP_S:g}] s")
         if self.deterministic and self.produce_interval:
@@ -298,9 +300,10 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     sink = Sink(cfg.persist_path)
     try:
         clock = FixedClock(_VIRTUAL_EPOCH_MS) if cfg.deterministic else None  # None reads the system clock
-        # Producer i mints from seed + i into its own state: producers share nothing.
+        # Producer i mints into its own state, from seed + i in deterministic mode and from
+        # the OS draw (no source) in threaded mode: producers share nothing.
         minters = [
-            codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + i), MonotonicState())
+            codec.minter(cfg.scheme, clock, SeededEntropy(cfg.seed + i) if cfg.deterministic else None, MonotonicState())
             for i in range(cfg.producers)
         ]
         # Consumer i owns the partitions congruent to i modulo the consumer

@@ -309,7 +309,6 @@ def test_c11_simulation_at_scale():
         events_per_producer=100_000,
         partitions=4,
         consumers=4,
-        seed=1111,
     )
     start = time.perf_counter()
     report = run_simulation(cfg)

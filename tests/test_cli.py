@@ -79,8 +79,8 @@ def test_gen_monotonic_sorted_output(capsys):
     ids=["gen-uuidv4", "gen-uuidv7", "gen-ulid", "gen-monotonic-ulid", "bench"],
 )
 def test_unseeded_commands_mint_on_the_inline_os_draw(capsys, monkeypatch, tmp_path, argv):
-    # Without --seed no random source is passed, so the generators read
-    # os.urandom inline and SystemEntropy.next_bits is never called.
+    # Without --seed no random source is passed, so the generators make
+    # core's OS draw inline and SystemEntropy.next_bits is never called.
     def unused(self, k):
         raise AssertionError("SystemEntropy.next_bits called")
 

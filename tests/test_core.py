@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import time
 import uuid as stdlib_uuid
 from pathlib import Path
@@ -329,7 +330,7 @@ def test_default_entropy_keeps_version_and_variant(generate, size, version, monk
         draws.append(n)
         return os.urandom(n)
 
-    monkeypatch.setattr(core, "urandom", counting_urandom)
+    monkeypatch.setattr(core, "_draw", counting_urandom)
     values = [generate() for _ in range(64)]
     assert draws == [size] * 64  # one fresh draw per id, nothing pooled
     assert len(set(values)) == 64
@@ -359,7 +360,7 @@ def test_default_path_overwrites_the_fixed_bits_of_the_os_draw(monkeypatch):
         drawn.append(patterns[len(drawn) % len(patterns)][:n])
         return drawn[-1]
 
-    monkeypatch.setattr(core, "urandom", fixed_urandom)
+    monkeypatch.setattr(core, "_draw", fixed_urandom)
     millis = 0x0123_4567_89AB
     clock = FixedClock(millis)
     for _ in patterns:
@@ -431,7 +432,7 @@ def test_system_entropy_is_one_fresh_urandom_call_per_draw(monkeypatch):
         calls.append(n)
         return bytes((0xA5 + 29 * i) & 0xFF for i in range(n))
 
-    monkeypatch.setattr(core, "urandom", fixed_urandom)
+    monkeypatch.setattr(core, "_draw", fixed_urandom)
     monkeypatch.setattr(random, "_urandom", fixed_urandom)
     reference = random.SystemRandom()
     for k in range(129):
@@ -440,6 +441,33 @@ def test_system_entropy_is_one_fresh_urandom_call_per_draw(monkeypatch):
         # Exactly one call of ceil(k / 8) bytes: nothing is pooled between draws.
         assert calls == [(k + 7) // 8]
         assert drawn == reference.getrandbits(k)
+
+
+def test_default_draws_keep_the_gil_beside_a_spinning_thread():
+    # os.urandom releases the GIL around its system call; a spinning thread
+    # then holds it for a whole switch interval before the draw can return.
+    # The default draw keeps the GIL, so 20 ids never wait that long.
+    stop = []
+
+    def spin():
+        while not stop:
+            pass
+
+    interval = sys.getswitchinterval()
+    spinner = threading.Thread(target=spin)
+    sys.setswitchinterval(0.1)
+    try:
+        spinner.start()
+        start = time.perf_counter()
+        for _ in range(5):
+            generate_uuidv4(), generate_uuidv7(), generate_ulid(), next_monotonic_ulid(MonotonicState())
+        elapsed = time.perf_counter() - start
+    finally:
+        stop.append(True)
+        spinner.join(10)
+        sys.setswitchinterval(interval)
+    assert not spinner.is_alive()
+    assert elapsed < 0.01
 
 
 def test_int_bytes_conversions_name_their_byteorder():
@@ -472,6 +500,39 @@ def _cold_python(code: str, *flags: str) -> list[str]:
     result = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
+
+
+@pytest.mark.skipif(not hasattr(os, "getrandom"), reason="os.getrandom is Linux-only")
+def test_import_picks_getrandom_after_a_nonblocking_probe():
+    code = "\n".join([
+        "import os",
+        "probes, getrandom = [], os.getrandom",
+        "def recording(size, flags=0):",
+        "    probes.append((size, flags))",
+        "    return getrandom(size, flags)",
+        "os.getrandom = recording",
+        "import uidlab.core as core",
+        "print(core._draw is recording, probes == [(1, os.GRND_NONBLOCK)])",
+        "del os.getrandom",  # the picked draw is bound, not looked up per id
+        "core.SystemEntropy().next_bits(80)",
+        "print(probes[1:])",
+    ])
+    assert _cold_python(code) == ["True True", "[(10, 0)]"]
+    assert _cold_python("import os, uidlab.core as core; print(core._draw is os.getrandom)") == ["True"]
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        "if hasattr(os, 'getrandom'): del os.getrandom",
+        "def refuse(size, flags=0): raise OSError(errno.ENOSYS, 'getrandom')\nos.getrandom = refuse",
+        "def refuse(size, flags=0): raise BlockingIOError(errno.EAGAIN, 'getrandom')\nos.getrandom = refuse",
+    ],
+    ids=["no-getrandom", "enosys", "unseeded-pool"],
+)
+def test_import_falls_back_to_urandom(setup):
+    code = "\n".join(["import errno, os", setup, "import uidlab.core as core", "print(core._draw is os.urandom)"])
+    assert _cold_python(code) == ["True"]
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -174,7 +174,6 @@ def test_only_the_deterministic_run_builds_an_unshared_topic(monkeypatch, determ
         events_per_producer=50,
         partitions=2,
         consumers=1,
-        seed=7,
         deterministic=deterministic,
     )
     assert run_simulation(cfg).conserved
@@ -363,7 +362,7 @@ def test_event_contract():
 
 def test_producer_events_keep_the_event_contract(monkeypatch):
     topics = _record_topics(monkeypatch)
-    cfg = SimConfig(scheme=IdScheme.ULID, producers=3, events_per_producer=8, partitions=2, consumers=1, seed=0)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=3, events_per_producer=8, partitions=2, consumers=1)
     before = time.time_ns() // 1_000_000
     assert run_simulation(cfg).conserved
     after = time.time_ns() // 1_000_000
@@ -398,7 +397,6 @@ def test_threaded_run_stores_every_event_once():
         events_per_producer=2000,
         partitions=4,
         consumers=2,
-        seed=23,
     )
     reports = []
     _with_switch_interval(lambda: reports.append(run_simulation(cfg)))
@@ -518,9 +516,7 @@ def test_consumers_past_the_last_partition_start_no_thread(monkeypatch):
             super().start()
 
     monkeypatch.setattr(sim.threading, "Thread", RecordingThread)
-    cfg = SimConfig(
-        scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=1, consumers=4, seed=2
-    )
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=1, consumers=4)
     report = run_simulation(cfg)
     assert [name for name in started if name.startswith("consumer-")] == ["consumer-0"]
     assert report.conserved
@@ -543,9 +539,7 @@ def test_interrupted_threaded_run_stops_its_consumers(monkeypatch):
 
     monkeypatch.setattr(sim.threading, "Thread", InterruptedThread)
     topics = _record_topics(monkeypatch)
-    cfg = SimConfig(
-        scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=2, consumers=2, seed=6
-    )
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=2, consumers=2)
     try:
         with pytest.raises(KeyboardInterrupt):
             run_simulation(cfg)
@@ -571,9 +565,7 @@ def test_failed_thread_start_stops_the_consumers_that_started(monkeypatch):
 
     monkeypatch.setattr(sim.threading, "Thread", FailingThread)
     topics = _record_topics(monkeypatch)
-    cfg = SimConfig(
-        scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=2, consumers=2, seed=6
-    )
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=2, consumers=2)
     try:
         with pytest.raises(RuntimeError, match="can't start new thread"):
             run_simulation(cfg)
@@ -623,7 +615,7 @@ def test_interrupted_threaded_run_waits_for_the_consumers_last_store(monkeypatch
     path = tmp_path / "stored.txt"
     cfg = SimConfig(
         scheme=IdScheme.ULID, producers=2, events_per_producer=200, partitions=2, consumers=2,
-        seed=6, persist_path=str(path),
+        persist_path=str(path),
     )
     try:
         with pytest.raises(KeyboardInterrupt):
@@ -695,7 +687,6 @@ def test_event_lost_before_the_topic_raises(monkeypatch, deterministic):
         events_per_producer=50,
         partitions=2,
         consumers=1,
-        seed=7,
         deterministic=deterministic,
     )
     with pytest.raises(EventCountMismatch, match="producers made 100 events, but the topic holds 99"):
@@ -707,6 +698,7 @@ def test_event_lost_before_the_topic_raises(monkeypatch, deterministic):
 # class that defines it. A call that bypasses one of them goes untraced.
 TRACED_ENTRY_POINTS = [
     (SeededEntropy, "next_bits"),
+    (core, "_draw"),
     (core, "next_monotonic_ulid"),
     (codec, "ulid_encode"),
     (sim, "partition_for"),
@@ -752,6 +744,7 @@ def test_deterministic_run_calls_every_traced_entry_point(monkeypatch):
     assert run_simulation(cfg) == unwrapped
     for name in ("next_bits", "next_monotonic_ulid", "ulid_encode", "partition_for", "publish"):
         assert calls[name] == 1000, name
+    assert calls["_draw"] == 0
     assert calls["verify_ordering"] == 1
     # Each round's drain stores its batches in one call; the tail drain
     # after the last round finds every partition empty and stores nothing.
@@ -762,16 +755,49 @@ def test_deterministic_run_calls_every_traced_entry_point(monkeypatch):
 def test_threaded_run_calls_every_traced_entry_point(monkeypatch):
     # Producer threads publish through the topic's publish, bound when the
     # run starts, so a class-level wrap installed before the run sees every
-    # event. Entropy draws, consumes and stores follow the real clock and
-    # the thread timing, so only their presence is checked.
+    # event. Producers draw from the OS, not a seeded source. OS draws,
+    # consumes and stores follow the real clock and the thread timing, so
+    # only their presence is checked.
     calls = _count_traced_calls(monkeypatch)
-    cfg = SimConfig(scheme=IdScheme.ULID, producers=8, events_per_producer=125, partitions=4, consumers=4, seed=1)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=8, events_per_producer=125, partitions=4, consumers=4)
     report = run_simulation(cfg)
     assert report.conserved and report.events_total == report.unique_ids == 1000
     for name in ("next_monotonic_ulid", "ulid_encode", "partition_for", "publish"):
         assert calls[name] == 1000, name
     assert calls["verify_ordering"] == 1
-    assert calls["next_bits"] >= 8 and calls["consume non-empty"] >= 1 and calls["store"] >= 1
+    assert calls["next_bits"] == 0
+    assert calls["_draw"] >= 8 and calls["consume non-empty"] >= 1 and calls["store"] >= 1
+
+
+def _count_os_draws(monkeypatch):
+    """Wrap core's OS draw with a thread-safe recorder of the bytes each call asks for."""
+    sizes, lock, draw = [], threading.Lock(), core._draw
+
+    def counting(n):
+        with lock:
+            sizes.append(n)
+        return draw(n)
+
+    monkeypatch.setattr(core, "_draw", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["threaded", "deterministic"])
+@pytest.mark.parametrize("scheme", list(IdScheme), ids=lambda scheme: scheme.cli_name)
+def test_threaded_producers_draw_from_the_os(monkeypatch, scheme, deterministic):
+    draws = _count_os_draws(monkeypatch)
+    cfg = SimConfig(
+        scheme=scheme, producers=4, events_per_producer=50, partitions=2, consumers=2, deterministic=deterministic
+    )
+    report = run_simulation(cfg)
+    assert report.conserved and report.unique_ids == 200
+    if deterministic:
+        assert draws == []  # every bit comes from SeededEntropy
+    elif scheme is IdScheme.ULID:
+        # The monotonic ULID draws only for a producer's fresh millisecond.
+        assert 4 <= len(draws) <= 200 and set(draws) == {10}
+    else:  # one fresh draw per id, nothing pooled
+        assert draws == [16 if scheme is IdScheme.UUID_V4 else 10] * 200
 
 
 def test_full_drain_conserves_multiset():
@@ -911,7 +937,20 @@ def test_sim_config_validation():
     # producers the streams of others' positive twins: false duplicates.
     with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
         SimConfig(scheme=IdScheme.ULID, seed=-3)
+    # Threaded producers draw from the OS, so a seed there would replay nothing.
+    with pytest.raises(ValueError, match="seed must be 0 in threaded mode, which draws from the OS"):
+        SimConfig(scheme=IdScheme.ULID, seed=3)
+    SimConfig(scheme=IdScheme.ULID, seed=3, deterministic=True)
     SimConfig(scheme=IdScheme.ULID, produce_interval=0.005)
+
+
+def test_sim_seed_without_deterministic_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sim", "--scheme", "ulid", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "uidlab sim: error: seed must be 0 in threaded mode, which draws from the OS"
 
 
 def test_single_producer_single_partition_run():
@@ -972,7 +1011,6 @@ def test_threaded_consumers_owning_several_partitions_store_every_event_once(tmp
         events_per_producer=2000,
         partitions=4,
         consumers=consumers,
-        seed=29,
         persist_path=str(path),
     )
     reports = []
@@ -992,7 +1030,6 @@ def test_threaded_run_integrity():
         events_per_producer=2000,
         partitions=4,
         consumers=2,
-        seed=21,
     )
     report = run_simulation(cfg)
     assert report.events_total == 8000
@@ -1019,7 +1056,6 @@ def test_threaded_uuidv7_run_has_no_ordering_violations():
         events_per_producer=5000,
         partitions=4,
         consumers=4,
-        seed=1,
     )
     report = run_simulation(cfg)
     assert report.ordering_checked
@@ -1075,7 +1111,6 @@ def test_worker_crash_raises_and_closes_sink(monkeypatch, tmp_path, deterministi
         events_per_producer=100,
         partitions=2,
         consumers=1,
-        seed=4,
         deterministic=deterministic,
         persist_path=str(tmp_path / "stored.txt"),
     )
@@ -1121,7 +1156,7 @@ def test_producer_recovers_from_random_overflow(monkeypatch, overflows):
 
     monkeypatch.setattr(sim.time, "sleep", sleep)
     monkeypatch.setattr(core, "next_monotonic_ulid", overflowing)
-    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=2, partitions=1, consumers=1, seed=0)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=2, partitions=1, consumers=1)
     report = run_simulation(cfg)
     assert recorded == [0.001] * overflows  # one millisecond per overflow, no clock poll
     assert len(calls) == 2 + overflows
@@ -1138,7 +1173,7 @@ def test_producer_waits_out_an_exhausted_millisecond(monkeypatch):
 
     monkeypatch.setattr(core, "next_monotonic_ulid", exhausting)
     topics = _record_topics(monkeypatch)
-    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=3, partitions=1, consumers=1, seed=0)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=1, events_per_producer=3, partitions=1, consumers=1)
     report = run_simulation(cfg)
     assert report.conserved and report.per_partition_order_ok
     (topic,) = topics
@@ -1176,7 +1211,7 @@ def test_threaded_run_reports_an_injected_random_overflow(monkeypatch):
         return next_ulid(state, clock, rng)
 
     monkeypatch.setattr(core, "next_monotonic_ulid", overflowing)
-    cfg = SimConfig(scheme=IdScheme.ULID, producers=2, events_per_producer=20, partitions=2, consumers=2, seed=3)
+    cfg = SimConfig(scheme=IdScheme.ULID, producers=2, events_per_producer=20, partitions=2, consumers=2)
     report = run_simulation(cfg)
     assert len(calls) == 41
     assert report.overflow_waits == 1
@@ -1250,7 +1285,6 @@ def test_each_scheduler_mints_once_per_event_and_publishes_events(monkeypatch, d
         events_per_producer=40,
         partitions=4,
         consumers=2,
-        seed=5,
         deterministic=deterministic,
     )
     report = run_simulation(cfg)
